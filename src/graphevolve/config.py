@@ -8,6 +8,7 @@ matrix entries may be numbers or strings parseable by ``complex()``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,15 +314,39 @@ def _parse_sim(section, path="sim") -> SimConfig:
     eq = _require(section, "equation", path)
     if eq not in ("wave", "heat"):
         _fail(f"{path}.equation", f"unknown equation {eq!r}")
+
+    def finite(key, default=None):
+        raw = _require(section, key, path) if default is None else section.get(key, default)
+        value = _number(raw, f"{path}.{key}")
+        if not math.isfinite(value):
+            _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
+        return value
+
+    def count(key, default, least):
+        value = finite(key, default)
+        if not value.is_integer() or value < least:
+            _fail(f"{path}.{key}", f"expected an integer >= {least}, got {value:g}")
+        return int(value)
+
+    T, dt = finite("T"), finite("dt")
+    for key, value in (("T", T), ("dt", dt)):
+        if value <= 0.0:
+            _fail(f"{path}.{key}", f"must be positive, got {value!r}")
+    steps = T / dt
+    if eq == "heat" and not (math.isfinite(steps)
+                             and abs(round(steps) * dt - T) <= 1e-9 * max(1.0, T)):
+        _fail(f"{path}.dt", f"heat needs T = {T!r} to be an integer multiple of dt = {dt!r}")
+    theta = finite("theta", 0.5)
+    if not 0.5 <= theta <= 1.0:
+        _fail(f"{path}.theta", f"must lie in [1/2, 1], got {theta!r}")
+    snap_tol = finite("snap_tol", 0.05)
+    if snap_tol < 0.0:
+        _fail(f"{path}.snap_tol", f"must be non-negative, got {snap_tol!r}")
     return SimConfig(
-        equation=eq,
-        T=_number(_require(section, "T", path), f"{path}.T"),
-        dt=_number(_require(section, "dt", path), f"{path}.dt"),
-        theta=_number(section.get("theta", 0.5), f"{path}.theta"),
-        n_per_edge=int(_number(section.get("n_per_edge", 100), f"{path}.n_per_edge")),
-        snap_tol=_number(section.get("snap_tol", 0.05), f"{path}.snap_tol"),
-        record_stride=int(_number(section.get("record_stride", 1),
-                                  f"{path}.record_stride")),
+        equation=eq, T=T, dt=dt, theta=theta,
+        n_per_edge=count("n_per_edge", 100, 4),
+        snap_tol=snap_tol,
+        record_stride=count("record_stride", 1, 1),
     )
 
 

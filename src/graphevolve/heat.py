@@ -12,24 +12,31 @@ Boundary conditions enter as rows of the implicit system:
 * nonlocal interval kernels -- quadrature rows tying each endpoint value to a
   weighted integral of the whole profile;
 * external edges -- truncated with a homogeneous far-end row.
+
+The implicit matrix ``a`` and explicit matrix ``b`` are assembled as
+(row, col, value) triplets -- about three nonzeros per unknown -- and stored
+as CSC and CSR.  ``a`` is factored once with SuperLU, so a step costs one
+sparse mat-vec and one pair of triangular solves.  The singularity gate is a
+1-norm condition estimate over the LU solves (Higham & Tisseur 2000).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, _mu_scaling, to_boundary_matrices
 from .coeffs import EdgeCoefficients
 from .errors import (
     DimensionMismatchError,
     NotWellPosedError,
     SingularSystemError,
 )
-from .graph import MetricGraph, continuity_space, incident_vertices
+from .graph import MetricGraph, continuity_space, trace_stack
 from .initial import InitialData
 from .wave import Diagnostics
 from .wellposed import auto_shrink_t0, check_boundary_matrices, check_boundary_spaces
@@ -46,6 +53,25 @@ class HeatEdgeFields:
         return float(self.s[1] - self.s[0])
 
 
+class SparseFactor:
+    """Read-only SuperLU factor of the implicit matrix.
+
+    SuperLU objects cannot be copied, and solving never modifies them, so a
+    deep copy of a HeatState shares the factor.
+    """
+
+    __slots__ = ("_lu",)
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._lu.solve(rhs)
+
+    def __deepcopy__(self, memo):
+        return self
+
+
 @dataclass
 class HeatState:
     graph: MetricGraph
@@ -55,8 +81,10 @@ class HeatState:
     external: list[HeatEdgeFields]
     internal: list[HeatEdgeFields]
     offsets: list[int]  # per edge in (external + internal) order
-    lu: tuple
-    explicit: np.ndarray
+    factor: SparseFactor  # LU of the implicit matrix a
+    explicit: scipy.sparse.csr_array  # b
+    cond_estimate: float  # 1-norm condition estimate of a
+    path: str  # boundary rows used: "continuity", "matrices" or "nonlocal"
     step_count: int = 0
 
     def edges(self):
@@ -70,9 +98,76 @@ class HeatState:
             e.u = vec[off:off + e.u.size].copy()
 
 
+class _Triplets:
+    """(row, col, value) entries of one sparse matrix; duplicates sum."""
+
+    def __init__(self):
+        self.rows: list[np.ndarray] = []
+        self.cols: list[np.ndarray] = []
+        self.vals: list[np.ndarray] = []
+
+    def add(self, row, col, val) -> None:
+        """Append one entry, or arrays of entries broadcast together."""
+        row, col, val = np.broadcast_arrays(row, col, val)
+        self.rows.append(row.ravel())
+        self.cols.append(col.ravel())
+        self.vals.append(val.ravel())
+
+    def to_coo(self, n: int) -> scipy.sparse.coo_array:
+        vals = np.concatenate(self.vals).astype(complex)
+        return scipy.sparse.coo_array(
+            (vals, (np.concatenate(self.rows), np.concatenate(self.cols))), shape=(n, n))
+
+
+def factorize(a: scipy.sparse.csc_array) -> tuple[SparseFactor, float]:
+    """SuperLU factor of `a` and its 1-norm condition estimate.
+
+    The estimate is ||a||_1 (exact column sums) times the block estimate of
+    ||a^-1||_1 over LU solves (Higham & Tisseur 2000).  One block column
+    keeps it deterministic: wider blocks draw random columns from NumPy's
+    global generator.  Raises SingularSystemError if SuperLU meets an exactly
+    singular pivot, or if the estimate is not finite or cond * N * 1e-12 >= 1.
+    """
+    n = a.shape[0]
+    try:
+        lu = splu(a)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        if "singular" not in str(exc):
+            raise
+        raise SingularSystemError(
+            f"implicit system singular at this resolution ({exc})") from exc
+    inverse = LinearOperator(
+        a.shape, dtype=a.dtype, matvec=lu.solve, matmat=lu.solve,
+        rmatvec=lambda x: lu.solve(x, "H"), rmatmat=lambda x: lu.solve(x, "H"))
+    cond = float(scipy.sparse.linalg.norm(a, 1) * onenormest(inverse, t=1))
+    if not np.isfinite(cond) or cond * n * 1e-12 >= 1.0:
+        raise SingularSystemError(
+            f"implicit system singular at this resolution (cond_1 ~ {cond:.3e})")
+    return SparseFactor(lu), cond
+
+
+def _endpoint_speeds(bc: BoundarySpacesBC) -> np.ndarray:
+    """Diagonal of C^-1 = diag(mu_e(0), mu_i(0), mu_i(1)); unit speeds if unset."""
+    if bc.mu_endpoints is None:
+        return np.ones(bc.trace_dim)
+    return _mu_scaling(bc.mu_endpoints)
+
+
 def _is_continuity_form(bc: BoundarySpacesBC, g: MetricGraph) -> bool:
+    """Y1 is the continuity space and span(Y0) = span(C * Y1-perp).
+
+    C is the endpoint scaling of `from_standard`.  Y0 has full column rank, so
+    the spans agree iff the dimensions add up and Y1^H C^-1 Y0 = 0.
+    """
     ref = continuity_space(g)
-    return bc.y1_basis.shape == ref.shape and np.array_equal(bc.y1_basis, ref)
+    if bc.y1_basis.shape != ref.shape or not np.array_equal(bc.y1_basis, ref):
+        return False
+    dim = bc.trace_dim
+    if bc.d0 + bc.d1 != dim:
+        return False
+    y0 = _endpoint_speeds(bc)[:, None] * bc.y0_basis  # C^-1 Y0
+    coupling = np.linalg.norm(ref.conj().T @ y0)
+    return bool(coupling <= 100 * dim * np.finfo(float).eps * np.linalg.norm(y0))
 
 
 def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
@@ -140,27 +235,26 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         total += n_per_edge + 1
 
     edges = external + internal
-    a = np.zeros((total, total), dtype=complex)
-    b = np.zeros((total, total), dtype=complex)
+    a, b = _Triplets(), _Triplets()
     row = 0
 
-    # interior theta-scheme rows
+    # interior theta-scheme rows, one block of n - 1 rows per edge
     for off, e in zip(offsets, edges):
-        h = e.h
         n = e.u.size - 1
-        for i in range(1, n):
-            r = h * h / (e.lam[i] * dt)  # scaled so diagonals stay O(1)
-            a[row, off + i] = r + 2.0 * theta
-            a[row, off + i - 1] = -theta
-            a[row, off + i + 1] = -theta
-            b[row, off + i] = r - 2.0 * (1.0 - theta)
-            b[row, off + i - 1] = 1.0 - theta
-            b[row, off + i + 1] = 1.0 - theta
-            row += 1
+        r = e.h * e.h / (e.lam[1:n] * dt)  # scaled so diagonals stay O(1)
+        rows = row + np.arange(n - 1)
+        nodes = off + np.arange(1, n)
+        a.add(rows, nodes, r + 2.0 * theta)
+        a.add(rows, nodes - 1, -theta)
+        a.add(rows, nodes + 1, -theta)
+        b.add(rows, nodes, r - 2.0 * (1.0 - theta))
+        b.add(rows, nodes - 1, 1.0 - theta)
+        b.add(rows, nodes + 1, 1.0 - theta)
+        row += n - 1
 
     # external far-end truncation rows
     for k in range(g.l):
-        a[row, offsets[k] + external[k].u.size - 1] = 1.0
+        a.add(row, offsets[k] + external[k].u.size - 1, 1.0)
         row += 1
 
     # trace node bookkeeping in (f_e(0), f_i(0), f_i(1)) order
@@ -171,7 +265,7 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     if mode == "nonlocal":
         row = _assemble_nonlocal_rows(a, row, internal[0], offsets[g.l], nonlocal_kernels)
     elif mode == "continuity":
-        row = _assemble_vertex_rows(a, b, row, g, coeffs, bc, edges, offsets,
+        row = _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
                                     trace_nodes, dt, theta)
     else:
         row = _assemble_matrix_rows(a, row, bc, edges, offsets, trace_nodes, g.l, g.m)
@@ -179,13 +273,9 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     if row != total:
         raise AssertionError(f"assembled {row} rows for {total} unknowns")
 
-    sigmas = np.linalg.svd(a, compute_uv=False)
-    if sigmas[-1] <= total * 1e-12 * sigmas[0]:
-        raise SingularSystemError(
-            f"implicit system singular at this resolution (sigma_min = {sigmas[-1]:.3e})"
-        )
-    lu = scipy.linalg.lu_factor(a)
-    return HeatState(g, 0.0, dt, theta, external, internal, offsets, lu, b)
+    factor, cond = factorize(a.to_coo(total).tocsc())
+    return HeatState(g, 0.0, dt, theta, external, internal, offsets,
+                     factor, b.to_coo(total).tocsr(), cond, mode)
 
 
 def _assemble_nonlocal_rows(a, row, edge, off, kernels):
@@ -199,13 +289,13 @@ def _assemble_nonlocal_rows(a, row, edge, off, kernels):
     for j, kernel in enumerate(kernels):
         vals = np.interp(s, grid, kernel.real) + 1j * np.interp(s, grid, kernel.imag)
         node = off if j == 0 else off + n - 1
-        a[row, off:off + n] = -w * vals
-        a[row, node] += 1.0
+        a.add(row, np.arange(off, off + n), -w * vals)
+        a.add(row, node, 1.0)
         row += 1
     return row
 
 
-def _assemble_vertex_rows(a, b, row, g, coeffs, bc, edges, offsets,
+def _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
                           trace_nodes, dt, theta):
     """Continuity rows plus conservative half-cell flux balance per vertex."""
     # endpoint -> (vertex, trace slot, global trace node, neighbor node, h, lam_half)
@@ -233,18 +323,14 @@ def _assemble_vertex_rows(a, b, row, g, coeffs, bc, edges, offsets,
     for v in sorted(by_vertex):
         nodes = [info[2] for info in by_vertex[v]]
         for node in nodes[1:]:
-            a[row, node] = 1.0
-            a[row, nodes[0]] = -1.0
+            a.add(row, node, 1.0)
+            a.add(row, nodes[0], -1.0)
             row += 1
 
     # zeroth-order source per vertex: flux sums equal src_rows @ trace values
     dim = g.trace_dim
     if bc.local_U is not None:
-        from .bc import _mu_scaling
-        from .graph import trace_stack
-        mu_scale = _mu_scaling(bc.mu_endpoints) if bc.mu_endpoints is not None \
-            else np.ones(dim)
-        src = trace_stack(g).T @ (mu_scale[:, None] * bc.local_U)  # n x dim
+        src = trace_stack(g).T @ (_endpoint_speeds(bc)[:, None] * bc.local_U)  # n x dim
     else:
         src = np.zeros((g.n, dim), dtype=complex)
 
@@ -252,14 +338,14 @@ def _assemble_vertex_rows(a, b, row, g, coeffs, bc, edges, offsets,
         for (_, slot, tr, adj, h, lam_half) in by_vertex[v]:
             cap = 0.5 * h / dt
             flux = lam_half / h
-            a[row, tr] += cap + theta * flux
-            a[row, adj] += -theta * flux
-            b[row, tr] += cap - (1.0 - theta) * flux
-            b[row, adj] += (1.0 - theta) * flux
+            a.add(row, tr, cap + theta * flux)
+            a.add(row, adj, -theta * flux)
+            b.add(row, tr, cap - (1.0 - theta) * flux)
+            b.add(row, adj, (1.0 - theta) * flux)
         for slot in range(dim):
             if src[v, slot] != 0.0:
-                a[row, trace_nodes[slot]] += -theta * src[v, slot]
-                b[row, trace_nodes[slot]] += (1.0 - theta) * src[v, slot]
+                a.add(row, trace_nodes[slot], -theta * src[v, slot])
+                b.add(row, trace_nodes[slot], (1.0 - theta) * src[v, slot])
         row += 1
     return row
 
@@ -271,7 +357,7 @@ def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, edges, offsets,
     for r in range(bc.k0):
         for slot in range(l + 2 * m):
             if v_rows[r, slot] != 0.0:
-                a[row, trace_nodes[slot]] += v_rows[r, slot]
+                a.add(row, trace_nodes[slot], v_rows[r, slot])
         row += 1
 
     def stencil_start(off, h):
@@ -286,7 +372,7 @@ def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, edges, offsets,
             coeff = bc.w0e[r, k]
             if coeff != 0.0:
                 for node, wgt in stencil_start(offsets[k], edges[k].h):
-                    a[row, node] += coeff * wgt
+                    a.add(row, node, coeff * wgt)
         for j in range(m):
             e = edges[l + j]
             off = offsets[l + j]
@@ -294,21 +380,21 @@ def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, edges, offsets,
             c0 = bc.w0i[r, j]
             if c0 != 0.0:
                 for node, wgt in stencil_start(off, e.h):
-                    a[row, node] += c0 * wgt
+                    a.add(row, node, c0 * wgt)
             c1 = bc.w1i[r, j]
             if c1 != 0.0:
                 for node, wgt in stencil_end(off, n, e.h):
-                    a[row, node] += -c1 * wgt
+                    a.add(row, node, -c1 * wgt)
         for slot in range(l + 2 * m):
             if u_rows[r, slot] != 0.0:
-                a[row, trace_nodes[slot]] += u_rows[r, slot]
+                a.add(row, trace_nodes[slot], u_rows[r, slot])
         row += 1
     return row
 
 
 def heat_step(state: HeatState) -> None:
-    vec = state.vector()
-    new = scipy.linalg.lu_solve(state.lu, state.explicit @ vec)
+    """One theta-step: a sparse mat-vec with b, then the LU solve with a."""
+    new = state.factor.solve(state.explicit @ state.vector())
     state.scatter(new)
     state.step_count += 1
     state.t = state.step_count * state.dt

@@ -167,3 +167,19 @@ def test_transform_outputs(tmp_path):
     lines = (tmp_path / "transform.csv").read_text().splitlines()
     assert lines[0].startswith("edge_kind,edge_index")
     assert len(lines) == 1 + 3  # two internal edges + one external edge
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("theta: 0.5", "theta: 0.3", "theta"),
+    ("T: 1.0", "T: .nan", "T"),
+    ("record_stride: 100", "record_stride: 0", "record_stride"),
+    ("dt: 0.001", "dt: 0.003", "dt"),
+], ids=["theta", "T-nan", "record_stride", "dt-not-dividing-T"])
+def test_simulate_rejects_bad_sim_values(tmp_path, capsys, old, new, key):
+    text = (CONFIGS / "kirchhoff-star-heat.cfg").read_text()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert run_cli("simulate", cfg, "--output-dir", tmp_path, "--quiet") == 1
+    assert capsys.readouterr().err.startswith(f"error: sim.{key}: ")
+    assert not (tmp_path / "solution.csv").exists()

@@ -1,9 +1,17 @@
+import copy
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 import graphevolve as ge
 from conftest import dirichlet_interval_bc
-from graphevolve.heat import energy, mass
+from graphevolve.config import parse_config
+from graphevolve.graph import continuity_space
+from graphevolve.heat import energy, factorize, mass
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def dirichlet_spaces(interval):
@@ -159,3 +167,122 @@ def test_external_edge_decay(star):
     # far-end absorption means total mass can only decrease slightly here
     assert 0.9 * m0 <= mass(st) <= m0 + 1e-10
     assert np.max(np.abs(st.external[0].u.real)) > 1e-6  # heat reached the lead
+
+
+def gaussian_star_state(g, n_per_edge=100):
+    coeffs = ge.EdgeCoefficients(tuple(ge.constant(0.5 + 1.5 * j / g.m)
+                                       for j in range(g.m)), ())
+    init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1) if j == 0
+                                               else ge.zero_profile())
+                                for j in range(g.m)), ())
+    return ge.heat_init(g, coeffs, ge.from_standard(g, coeffs), init, dt=1e-3,
+                        n_per_edge=n_per_edge)
+
+
+def test_deepcopy_steps_bit_identically(compact_star):
+    st = gaussian_star_state(compact_star)
+    twin = copy.deepcopy(st)
+    for _ in range(10):
+        ge.heat_step(st)
+        ge.heat_step(twin)
+    assert np.array_equal(st.vector(), twin.vector())
+    assert twin.internal[0].u is not st.internal[0].u
+
+
+def test_generic_y0_takes_matrices_path():
+    """Y1 = continuity space with a Y0 other than C * Y1-perp is not Kirchhoff."""
+    text = (CONFIGS / "kirchhoff-star-heat.cfg").read_text()
+    kirchhoff = parse_config(text)
+    y1 = continuity_space(kirchhoff.graph)
+    y0 = np.random.default_rng(0).standard_normal((y1.shape[0], 2))
+
+    def rows(x):
+        return "[" + ", ".join("[" + ", ".join(repr(float(v)) for v in r) + "]"
+                               for r in x.real) + "]"
+
+    cfg = parse_config(text.replace(
+        "kind: standard",
+        f"kind: boundary_spaces\n  y1_basis: {rows(y1)}\n  y0_basis: {rows(y0)}"))
+    assert ge.check_boundary_spaces(cfg.bc).well_posed
+
+    def final(bc):
+        st = ge.heat_init(cfg.graph, cfg.coeffs, bc, cfg.initial, cfg.sim.dt,
+                          n_per_edge=cfg.sim.n_per_edge)
+        st, _, _ = ge.heat_run(st, cfg.sim.T, cfg.sim.record_stride)
+        return st
+
+    spaces = final(cfg.bc)
+    matrices = final(ge.to_boundary_matrices(cfg.bc, cfg.graph.l, cfg.graph.m))
+    standard = final(kirchhoff.bc)
+    assert (spaces.path, matrices.path, standard.path) == ("matrices", "matrices",
+                                                           "continuity")
+    assert np.array_equal(spaces.vector(), matrices.vector())
+    assert mass(spaces) == pytest.approx(0.3402, abs=1e-4)
+    assert mass(standard) == pytest.approx(0.4259, abs=1e-4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, c: ge.from_standard(g, c),
+    lambda g, c: ge.from_delta(g, c, ge.DeltaCoupling([2.0, 0.0, 0.0, 0.0])),
+    lambda g, c: ge.from_nonlocal_matrices(g, c, np.zeros((0, 0)),
+                                           0.3 * np.eye(3), 0.1 * np.ones((3, 3))),
+], ids=["standard", "delta", "nonlocal-matrices"])
+def test_continuity_builders_take_finite_volume_path(compact_star, build):
+    coeffs = ge.EdgeCoefficients(tuple(ge.constant(c) for c in (1.0, 2.0, 0.5)), ())
+    init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1))
+                                for _ in range(3)), ())
+    st = ge.heat_init(compact_star, coeffs, build(compact_star, coeffs), init,
+                      dt=1e-3, n_per_edge=40)
+    assert st.path == "continuity"
+
+
+def test_gate_refuses_exactly_singular_matrix():
+    a = scipy.sparse.csc_array(np.array([[1.0, 2.0, 0.0],
+                                         [2.0, 4.0, 0.0],
+                                         [0.0, 0.0, 1.0]], dtype=complex))
+    with pytest.raises(ge.SingularSystemError, match="singular"):
+        factorize(a)
+
+
+def test_gate_refuses_ill_conditioned_matrix():
+    n = 50
+    diag = np.ones(n)
+    diag[-1] = 1e-11  # cond_1 = 1e11 > 1e12 / n, yet SuperLU factors it
+    a = scipy.sparse.diags_array(diag.astype(complex), format="csc")
+    with pytest.raises(ge.SingularSystemError, match="cond_1"):
+        factorize(a)
+    diag[-1] = 1e-9  # cond_1 = 1e9 < 1e12 / n
+    factor, cond = factorize(scipy.sparse.diags_array(diag.astype(complex), format="csc"))
+    assert cond == pytest.approx(1e9, rel=1e-12)
+    assert np.allclose(factor.solve(diag.astype(complex)), 1.0)
+
+
+def test_gate_estimate_bounds_condition_number():
+    rng = np.random.default_rng(5)
+    dense = 4.0 * np.eye(40) + rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.1)
+    _, cond = factorize(scipy.sparse.csc_array(dense.astype(complex)))
+    exact = np.linalg.norm(dense, 1) * np.linalg.norm(np.linalg.inv(dense), 1)
+    assert exact / 3.0 <= cond <= exact * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("name", ["kirchhoff-star-heat", "nonlocal-interval"])
+def test_shipped_heat_configs_pass_gate(name):
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    assert cfg.sim.equation == "heat"
+    st = ge.heat_init(cfg.graph, cfg.coeffs, cfg.bc, cfg.initial, cfg.sim.dt,
+                      theta=cfg.sim.theta, n_per_edge=cfg.sim.n_per_edge,
+                      external_lengths=cfg.external_lengths)
+    assert 1.0 <= st.cond_estimate < 1e12 / st.vector().size
+
+
+def test_twenty_thousand_unknowns_fit_and_conserve_mass():
+    """20-edge Kirchhoff star, N = 20,020: dense a and b would need 6.4 GB each."""
+    g = ge.MetricGraph(21, [(0, j + 1) for j in range(20)])
+    st = gaussian_star_state(g, n_per_edge=1000)
+    n = st.vector().size
+    assert n == 20020
+    assert scipy.sparse.issparse(st.explicit) and st.explicit.nnz <= 5 * n
+    m0 = mass(st)
+    for _ in range(5):
+        ge.heat_step(st)
+    assert abs(mass(st) - m0) <= 1e-8 * abs(m0)
