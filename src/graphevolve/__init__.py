@@ -55,6 +55,7 @@ from .errors import (
     SingularUpdateError,
     SpeedSnapExceededError,
     SupportViolationError,
+    UnsupportedNonlocalConditionError,
     UnsupportedVariableCoefficientError,
     ValidationError,
     ZeroDegreeVertexError,

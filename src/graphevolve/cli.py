@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
+from .bc import BoundaryMatricesBC, BoundarySpacesBC
 from .coeffs import external_transform, internal_transform, mu
 from .config import RunConfig, parse_config
 from .errors import ConfigError, GraphEvolveError, NotWellPosedError
@@ -108,20 +108,20 @@ def cmd_nonlocal_check(cfg: RunConfig, output_dir: Path, quiet: bool,
 
 
 def _write_solution_csv(path: Path, snapshots, edge_tags, with_ut: bool) -> None:
+    """One row per node and snapshot; formats one edge's rows at a time."""
     with path.open("w") as f:
         f.write("t,edge_kind,edge_index,s,u" + (",ut" if with_ut else "") + "\n")
         for snap in snapshots:
-            if with_ut:
-                t, us, uts = snap
-            else:
-                t, us = snap
-                uts = [None] * len(us)
-            for (kind, idx, s_grid), u, ut in zip(edge_tags, us, uts):
-                for i, s_val in enumerate(s_grid):
-                    rowvals = [_fmt(t), kind, str(idx), _fmt(s_val), _fmt(u[i].real)]
-                    if with_ut:
-                        rowvals.append(_fmt(ut[i].real))
-                    f.write(",".join(rowvals) + "\n")
+            t = _fmt(snap[0])
+            for n, (kind, idx, s_grid) in enumerate(edge_tags):
+                prefix = f"{t},{kind},{idx},"
+                # s, u and (wave only) ut of this edge as Python floats
+                columns = [s_grid.tolist(), *(field[n].real.tolist() for field in snap[1:])]
+                if with_ut:
+                    f.writelines([f"{prefix}{s:.17g},{u:.17g},{ut:.17g}\n"
+                                  for s, u, ut in zip(*columns)])
+                else:
+                    f.writelines([f"{prefix}{s:.17g},{u:.17g}\n" for s, u in zip(*columns)])
 
 
 def _write_diagnostics_csv(path: Path, diag) -> None:
@@ -148,13 +148,10 @@ def cmd_simulate(cfg: RunConfig, output_dir: Path, quiet: bool) -> int:
     output_dir.mkdir(parents=True, exist_ok=True)
 
     if sim.equation == "wave":
-        bc = cfg.bc
-        if isinstance(bc, BoundarySpacesBC):
-            if bc.nonlocal_kernels is not None:
-                raise ConfigError("sim.equation",
-                                  "the wave propagator does not support nonlocal kernels")
-            bc = to_boundary_matrices(bc, g.l, g.m)
-        state = wave_init(g, cfg.coeffs, bc, cfg.initial, sim.dt, sim.T,
+        if isinstance(cfg.bc, BoundarySpacesBC) and cfg.bc.nonlocal_kernels is not None:
+            raise ConfigError("sim.equation",
+                              "the wave propagator does not support nonlocal kernels")
+        state = wave_init(g, cfg.coeffs, cfg.bc, cfg.initial, sim.dt, sim.T,
                           snap_tol=sim.snap_tol, external_lengths=cfg.external_lengths)
         state, diag, snapshots = wave_run(state, sim.T, sim.record_stride)
         with_ut = True

@@ -333,9 +333,8 @@ def _parse_sim(section, path="sim") -> SimConfig:
         if value <= 0.0:
             _fail(f"{path}.{key}", f"must be positive, got {value!r}")
     steps = T / dt
-    if eq == "heat" and not (math.isfinite(steps)
-                             and abs(round(steps) * dt - T) <= 1e-9 * max(1.0, T)):
-        _fail(f"{path}.dt", f"heat needs T = {T!r} to be an integer multiple of dt = {dt!r}")
+    if not (math.isfinite(steps) and abs(round(steps) * dt - T) <= 1e-9 * max(1.0, T)):
+        _fail(f"{path}.dt", f"T = {T!r} must be an integer multiple of dt = {dt!r}")
     theta = finite("theta", 0.5)
     if not 0.5 <= theta <= 1.0:
         _fail(f"{path}.theta", f"must lie in [1/2, 1], got {theta!r}")

@@ -61,6 +61,10 @@ class UnsupportedVariableCoefficientError(GraphEvolveError):
     """The wave propagator only handles edgewise-constant coefficients."""
 
 
+class UnsupportedNonlocalConditionError(GraphEvolveError):
+    """The wave propagator only handles local vertex conditions."""
+
+
 class SupportViolationError(GraphEvolveError):
     """External-edge initial data is not supported far enough from the cut."""
 

@@ -29,6 +29,10 @@ WELL_POSED = "WellPosed"
 NOT_WELL_POSED = "NotWellPosed"
 INCONCLUSIVE = "Inconclusive"
 
+# The right-hand side of every vertex solve is complex (u_rhs is), so
+# lu_solve would pick this routine for any factor dtype.
+_zgetrs, = scipy.linalg.get_lapack_funcs(("getrs",), (np.zeros(1, dtype=complex),))
+
 _INDEPENDENCE_NOTE = ("verdict independent of U-terms and B-operators: the criterion "
                       "holds for every admissible zeroth-order perturbation")
 
@@ -47,8 +51,16 @@ class VertexUpdate:
     u_rhs: np.ndarray
 
     def solve(self, incoming: np.ndarray, value_trace: np.ndarray) -> np.ndarray:
+        """The same LAPACK solve as ``scipy.linalg.lu_solve``, without its per-call overhead."""
         rhs = -(self.m_in @ incoming + self.u_rhs @ value_trace)
-        return scipy.linalg.lu_solve(self.lu, rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        if rhs.size == 0:
+            return rhs
+        x, info = _zgetrs(*self.lu, rhs, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
 
 
 @dataclass(frozen=True)

@@ -169,14 +169,15 @@ def test_transform_outputs(tmp_path):
     assert len(lines) == 1 + 3  # two internal edges + one external edge
 
 
-@pytest.mark.parametrize("old, new, key", [
-    ("theta: 0.5", "theta: 0.3", "theta"),
-    ("T: 1.0", "T: .nan", "T"),
-    ("record_stride: 100", "record_stride: 0", "record_stride"),
-    ("dt: 0.001", "dt: 0.003", "dt"),
-], ids=["theta", "T-nan", "record_stride", "dt-not-dividing-T"])
-def test_simulate_rejects_bad_sim_values(tmp_path, capsys, old, new, key):
-    text = (CONFIGS / "kirchhoff-star-heat.cfg").read_text()
+@pytest.mark.parametrize("config, old, new, key", [
+    ("kirchhoff-star-heat", "theta: 0.5", "theta: 0.3", "theta"),
+    ("kirchhoff-star-heat", "T: 1.0", "T: .nan", "T"),
+    ("kirchhoff-star-heat", "record_stride: 100", "record_stride: 0", "record_stride"),
+    ("kirchhoff-star-heat", "dt: 0.001", "dt: 0.003", "dt"),
+    ("dirichlet-standing-wave", "dt: 0.005", "dt: 0.003", "dt"),
+], ids=["theta", "T-nan", "record_stride", "dt-not-dividing-T", "wave-dt-not-dividing-T"])
+def test_simulate_rejects_bad_sim_values(tmp_path, capsys, config, old, new, key):
+    text = (CONFIGS / f"{config}.cfg").read_text()
     assert old in text
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text.replace(old, new))
