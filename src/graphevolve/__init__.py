@@ -25,8 +25,7 @@ from .bc import (
 from .coeffs import (
     CoefficientProfile,
     EdgeCoefficients,
-    ExternalTransform,
-    InternalTransform,
+    EdgeTransform,
     constant,
     external_transform,
     internal_transform,

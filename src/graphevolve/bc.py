@@ -14,7 +14,7 @@ Trace ordering is always ``(f_e(0), f_i(0), f_i(1))``; the flux trace carries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +27,7 @@ from .errors import (
     RankDeficientBasisError,
     ZeroDegreeVertexError,
 )
-from .graph import MetricGraph, continuity_space, degree_matrices, incidence_matrices
+from .graph import MetricGraph, continuity_space, degree_matrices
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def cmd_transform(cfg: RunConfig, output_dir: Path, quiet: bool) -> int:
     rows = []
     for j, prof in enumerate(cfg.coeffs.internal):
         tr = internal_transform(prof)
-        rows.append(("i", j, tr.phi1, tr.cbar, float(mu(prof, 0.0)), float(mu(prof, 1.0))))
+        rows.append(("i", j, tr.phi_end, tr.cbar, float(mu(prof, 0.0)), float(mu(prof, 1.0))))
     for k, prof in enumerate(cfg.coeffs.external):
         L = cfg.external_lengths[k]
         tr = external_transform(prof, L)

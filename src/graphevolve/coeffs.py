@@ -57,18 +57,6 @@ class CoefficientProfile:
             return self.beta == 0.0
         return len(set(self.samples)) == 1
 
-    def lipschitz_estimate(self) -> float:
-        """Heuristic slope bound; informational only, never fatal."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "quadratic_square":
-            b = abs(self.beta)
-            peak = abs(self.alpha) * (1.0 + b * self.domain_length)
-            return 2.0 * peak * abs(self.alpha) * b
-        vals = np.asarray(self.samples, dtype=float)
-        h = self.domain_length / (len(vals) - 1)
-        return float(np.max(np.abs(np.diff(vals)))) / h
-
 
 def constant(value: float) -> CoefficientProfile:
     return CoefficientProfile("constant", value=float(value))
@@ -188,100 +176,83 @@ def _invert_monotone(fn: Callable[[float], float], target: float,
 
 
 @dataclass(frozen=True)
-class InternalTransform:
-    """Travel-time coordinate of one internal edge and its normalization."""
+class EdgeTransform:
+    """Travel-time coordinate of one edge on [0, length] and its normalization.
 
-    profile: CoefficientProfile
-    quad_panels: int
-    phi1: float  # phi(1), the edge travel time
-
-    @property
-    def cbar(self) -> float:
-        return 1.0 / self.phi1
-
-    def phi(self, s: float) -> float:
-        if not -1e-12 <= s <= 1.0 + 1e-12:
-            raise DomainError(f"s = {s} outside [0, 1]")
-        return _simpson(lambda r: 1.0 / mu(self.profile, r), 0.0, float(s), self.quad_panels)
-
-    def phibar(self, s: float) -> float:
-        return self.cbar * self.phi(s)
-
-    def phi_inverse(self, t: float) -> float:
-        if not -1e-12 <= t <= self.phi1 * (1.0 + 1e-12):
-            raise DomainError(f"t = {t} outside [0, phi(1)]")
-        return _invert_monotone(self.phi, float(t), 0.0, 1.0)
-
-    def phibar_inverse(self, t: float) -> float:
-        return self.phi_inverse(t / self.cbar)
-
-
-@dataclass(frozen=True)
-class ExternalTransform:
-    """Travel-time coordinate of one external edge, tabulated on [0, L]."""
+    Internal edges have length 1, so phi_end is phi(1) and phibar = cbar * phi
+    maps [0, 1] onto itself; external edges are truncated at s = length.
+    """
 
     profile: CoefficientProfile
     length: float
     quad_panels: int
-    phi_end: float  # phi(L)
+    phi_end: float  # phi(length), the edge travel time
+
+    @property
+    def phi1(self) -> float:
+        """phi(1) of an internal edge (= phi_end)."""
+        return self.phi_end
+
+    @property
+    def cbar(self) -> float:
+        return 1.0 / self.phi_end
 
     def phi(self, s: float) -> float:
         if not -1e-12 <= s <= self.length * (1.0 + 1e-12):
             raise DomainError(f"s = {s} outside [0, {self.length}]")
         return _simpson(lambda r: 1.0 / mu(self.profile, r), 0.0, float(s), self.quad_panels)
 
+    def phibar(self, s: float) -> float:
+        return self.cbar * self.phi(s)
+
     def phi_inverse(self, t: float) -> float:
         if not -1e-12 <= t <= self.phi_end * (1.0 + 1e-12):
-            raise DomainError(f"t = {t} outside the tabulated range")
+            raise DomainError(f"t = {t} outside [0, phi({self.length})]")
         return _invert_monotone(self.phi, float(t), 0.0, self.length)
 
+    def phibar_inverse(self, t: float) -> float:
+        return self.phi_inverse(t / self.cbar)
 
-def internal_transform(profile: CoefficientProfile, quad_panels: int = 256) -> InternalTransform:
-    """Transform for an internal edge; cbar * phi(1) = 1 by construction."""
+
+def _edge_transform(profile: CoefficientProfile, length: float,
+                    quad_panels: int) -> EdgeTransform:
     if quad_panels < 2:
         raise ValueError("quad_panels must be >= 2")
-    check_positive(profile, 1.0)
-    phi1 = _simpson(lambda r: 1.0 / mu(profile, r), 0.0, 1.0, quad_panels)
-    return InternalTransform(profile, quad_panels, phi1)
-
-
-def external_transform(profile: CoefficientProfile, length: float,
-                       quad_panels: int = 256) -> ExternalTransform:
-    """Transform for an external edge truncated at s = length."""
     if length <= 0.0:
         raise ValueError("truncation length must be positive")
     check_positive(profile, length)
     phi_end = _simpson(lambda r: 1.0 / mu(profile, r), 0.0, length, quad_panels)
-    return ExternalTransform(profile, length, quad_panels, phi_end)
+    return EdgeTransform(profile, length, quad_panels, phi_end)
 
 
-def resample_pullback(transform: InternalTransform | ExternalTransform,
-                      samples: np.ndarray) -> np.ndarray:
+def internal_transform(profile: CoefficientProfile, quad_panels: int = 256) -> EdgeTransform:
+    """Transform for an internal edge; cbar * phi(1) = 1 by construction."""
+    return _edge_transform(profile, 1.0, quad_panels)
+
+
+def external_transform(profile: CoefficientProfile, length: float,
+                       quad_panels: int = 256) -> EdgeTransform:
+    """Transform for an external edge truncated at s = length."""
+    return _edge_transform(profile, length, quad_panels)
+
+
+def resample_pullback(transform: EdgeTransform, samples: np.ndarray) -> np.ndarray:
     """Samples of f on a uniform phi-grid -> samples of f o phi on a uniform s-grid."""
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ValueError("need at least two samples")
-    if isinstance(transform, InternalTransform):
-        s_end, t_end = 1.0, transform.phi1
-    else:
-        s_end, t_end = transform.length, transform.phi_end
-    t_grid = np.linspace(0.0, t_end, samples.size)
-    s_grid = np.linspace(0.0, s_end, samples.size)
+    t_grid = np.linspace(0.0, transform.phi_end, samples.size)
+    s_grid = np.linspace(0.0, transform.length, samples.size)
     t_of_s = np.array([transform.phi(s) for s in s_grid])
     return np.interp(t_of_s, t_grid, samples)
 
 
-def resample_pushforward(transform: InternalTransform | ExternalTransform,
-                         samples: np.ndarray) -> np.ndarray:
+def resample_pushforward(transform: EdgeTransform, samples: np.ndarray) -> np.ndarray:
     """Samples of g on a uniform s-grid -> samples of g o phi^{-1} on a uniform phi-grid."""
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ValueError("need at least two samples")
-    if isinstance(transform, InternalTransform):
-        s_end, t_end = 1.0, transform.phi1
-    else:
-        s_end, t_end = transform.length, transform.phi_end
-    t_grid = np.linspace(0.0, t_end, samples.size)
-    s_grid = np.linspace(0.0, s_end, samples.size)
+    t_grid = np.linspace(0.0, transform.phi_end, samples.size)
+    s_grid = np.linspace(0.0, transform.length, samples.size)
     s_of_t = np.array([transform.phi_inverse(t) for t in t_grid])
     return np.interp(s_of_t, s_grid, samples)

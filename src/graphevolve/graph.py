@@ -9,7 +9,7 @@ Traces of edge functions are always ordered ``(f_e(0), f_i(0), f_i(1))``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

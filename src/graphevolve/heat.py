@@ -38,7 +38,7 @@ from .errors import (
 )
 from .graph import MetricGraph, continuity_space, trace_stack
 from .initial import InitialData
-from .wave import Diagnostics
+from .timeloop import run
 from .wellposed import auto_shrink_t0, check_boundary_matrices, check_boundary_spaces
 
 
@@ -416,21 +416,10 @@ def energy(state: HeatState) -> float:
     return float(total)
 
 
+def _snapshot(state: HeatState):
+    return state.t, [e.u.copy() for e in state.edges()]
+
+
 def heat_run(state: HeatState, T: float, record_stride: int = 1):
     """Step until time T; return (state, diagnostics, snapshots of (t, u list))."""
-    steps = round(T / state.dt)
-    if abs(steps * state.dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("T must be an integer multiple of dt")
-    diag = Diagnostics()
-    snapshots = []
-
-    def snap():
-        snapshots.append((state.t, [e.u.copy() for e in state.edges()]))
-        diag.record(state.t, energy(state), mass(state))
-
-    snap()
-    for step in range(1, steps + 1):
-        heat_step(state)
-        if step % record_stride == 0 or step == steps:
-            snap()
-    return state, diag, snapshots
+    return run(state, T, record_stride, heat_step, _snapshot, energy, mass)

@@ -20,7 +20,7 @@ than O(cells).  Grid-order arrays (and u = F + G) are built only when read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .graph import MetricGraph
 from .initial import InitialData
+from .timeloop import run
 from .wellposed import VertexUpdate, check_boundary_matrices, vertex_update_matrix
 
 
@@ -135,18 +136,6 @@ class WaveState:
     @property
     def internal(self) -> list[WaveEdgeFields]:
         return self.edges()[self.graph.l:]
-
-
-@dataclass
-class Diagnostics:
-    times: list[float] = field(default_factory=list)
-    energy: list[float] = field(default_factory=list)
-    mass: list[float] = field(default_factory=list)
-
-    def record(self, t: float, e: float, m: float) -> None:
-        self.times.append(t)
-        self.energy.append(e)
-        self.mass.append(m)
 
 
 def _constant_speed(profile) -> float:
@@ -316,26 +305,15 @@ def mass(state: WaveState) -> float:
     return float(total)
 
 
+def _snapshot(state: WaveState):
+    edges = state.edges()
+    return state.t, [e.u for e in edges], [(e.p + e.q) / 2.0 for e in edges]
+
+
 def wave_run(state: WaveState, T: float, record_stride: int = 1):
     """Step until time T; return (state, diagnostics, snapshots).
 
     Snapshots are (t, per-edge u copies, per-edge u_t copies) tuples recorded
     every record_stride steps, including the initial and final states.
     """
-    steps = round(T / state.dt)
-    if abs(steps * state.dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("T must be an integer multiple of dt")
-    diag = Diagnostics()
-    snapshots = []
-
-    def snap():
-        edges = state.edges()
-        snapshots.append((state.t, [e.u for e in edges], [(e.p + e.q) / 2.0 for e in edges]))
-        diag.record(state.t, energy(state), mass(state))
-
-    snap()
-    for step in range(1, steps + 1):
-        wave_step(state)
-        if step % record_stride == 0 or step == steps:
-            snap()
-    return state, diag, snapshots
+    return run(state, T, record_stride, wave_step, _snapshot, energy, mass)

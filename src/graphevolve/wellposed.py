@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, _mu_scaling
+from .bc import BoundaryMatricesBC, BoundarySpacesBC
 from .coeffs import EdgeCoefficients
 from .errors import BadT0Error, DimensionMismatchError, SingularUpdateError
 
@@ -73,7 +73,6 @@ class WellPosednessReport:
     tol: float | None = None
     dims: dict = field(default_factory=dict)
     young_bound: float | None = None
-    vertex_update: VertexUpdate | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -109,29 +108,14 @@ def _criterion_matrix(bc: BoundaryMatricesBC,
     return np.vstack([top, bottom])
 
 
-def _build_vertex_update(bc: BoundaryMatricesBC,
-                         coeffs: EdgeCoefficients | None) -> VertexUpdate:
-    crit = _criterion_matrix(bc, coeffs)
-    k0 = bc.k0
-    sign = np.ones(bc.trace_dim)
-    sign[k0:] = -1.0
-    m_out = 0.5 * (sign[:, None] * crit)
-    m_in = 0.5 * crit
-    u_rhs = np.vstack([
-        np.zeros((k0, bc.trace_dim), dtype=complex),
-        np.hstack([bc.u0e, bc.u0i, bc.u1i]),
-    ])
-    lu = scipy.linalg.lu_factor(m_out)
-    return VertexUpdate(m_out, m_in, lu, u_rhs)
-
-
 def check_boundary_matrices(bc: BoundaryMatricesBC,
                             coeffs: EdgeCoefficients | None = None) -> WellPosednessReport:
     """Determinant criterion for the matrices form.
 
     Well-posed iff the speed-normalized block matrix is invertible, decided by
     sigma_min > tol * sigma_max after row equilibration; the raw determinant is
-    reported as evidence.  U-blocks never influence the verdict.
+    reported as evidence.  U-blocks never influence the verdict.  Nothing is
+    factored here; ``vertex_update_matrix`` builds the update.
     """
     dim = bc.trace_dim
     if bc.k0 + bc.k1 != dim:
@@ -141,7 +125,6 @@ def check_boundary_matrices(bc: BoundaryMatricesBC,
     smin, smax = _equilibrated_sigmas(crit)
     tol = _sigma_tol(dim)
     well = smin > tol * smax
-    update = _build_vertex_update(bc, coeffs) if well else None
     return WellPosednessReport(
         verdict=WELL_POSED if well else NOT_WELL_POSED,
         criterion="Determinant",
@@ -150,7 +133,6 @@ def check_boundary_matrices(bc: BoundaryMatricesBC,
         sigma_max=smax,
         tol=tol,
         dims={"l": bc.l, "m": bc.m, "k0": bc.k0, "k1": bc.k1},
-        vertex_update=update,
         notes=(_INDEPENDENCE_NOTE,),
     )
 
@@ -193,7 +175,18 @@ def vertex_update_matrix(bc: BoundaryMatricesBC,
         raise SingularUpdateError(
             f"vertex update matrix is singular (sigma_min = {report.sigma_min:.3e})"
         )
-    return report.vertex_update
+    crit = _criterion_matrix(bc, coeffs)
+    k0 = bc.k0
+    sign = np.ones(bc.trace_dim)
+    sign[k0:] = -1.0
+    m_out = 0.5 * (sign[:, None] * crit)
+    m_in = 0.5 * crit
+    u_rhs = np.vstack([
+        np.zeros((k0, bc.trace_dim), dtype=complex),
+        np.hstack([bc.u0e, bc.u0i, bc.u1i]),
+    ])
+    lu = scipy.linalg.lu_factor(m_out)
+    return VertexUpdate(m_out, m_in, lu, u_rhs)
 
 
 def _abs_l1_restricted(samples: np.ndarray, t0: float, reflected: bool) -> float:

@@ -127,3 +127,20 @@ def test_length_validation():
     coeffs = ge.unit_coefficients(2, 1)
     with pytest.raises(ge.DimensionMismatchError):
         coeffs.validate_against(3, 1)
+
+
+@pytest.mark.parametrize("panels", [0, 1, -3])
+def test_transform_factories_refuse_too_few_panels(panels):
+    with pytest.raises(ValueError, match=r"^quad_panels must be >= 2$"):
+        ge.internal_transform(ge.constant(1.0), quad_panels=panels)
+    with pytest.raises(ValueError, match=r"^quad_panels must be >= 2$"):
+        ge.external_transform(ge.constant(1.0), 2.0, quad_panels=panels)
+
+
+def test_unit_length_external_transform_equals_internal():
+    prof = ge.quadratic_square(1.2, 0.7)
+    internal = ge.internal_transform(prof, quad_panels=32)
+    external = ge.external_transform(prof, 1.0, quad_panels=32)
+    assert internal == external
+    assert internal.phi1 == internal.phi_end
+    assert external.phi_inverse(0.3) == internal.phi_inverse(0.3)

@@ -9,6 +9,7 @@ from graphevolve.cli import main
 from graphevolve.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "cli_small"
 
 
 def test_parse_star3_fixture():
@@ -145,6 +146,28 @@ def test_simulate_is_deterministic(tmp_path):
                        "--output-dir", out, "--quiet") == 0
     assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
     assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
+
+
+def read_diagnostics(path):
+    """(t, energy, mass) rows of a diagnostics.csv as an array."""
+    header, *rows = path.read_text().splitlines()
+    assert header == "t,energy,mass"
+    return np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+@pytest.mark.parametrize("name", ["dirichlet-standing-wave", "kirchhoff-star-heat",
+                                  "nonlocal-interval", "zero-initial"])
+def test_simulate_matches_reference_diagnostics(tmp_path, name):
+    """Record times equal; energy and mass within 1e-12 of each column's initial value."""
+    assert run_cli("simulate", CONFIGS / f"{name}.cfg", "--output-dir", tmp_path,
+                   "--quiet") == 0
+    got = read_diagnostics(tmp_path / "diagnostics.csv")
+    ref = read_diagnostics(REFERENCE / f"{name}.csv")
+    assert got.shape == ref.shape
+    assert np.array_equal(got[:, 0], ref[:, 0])
+    for col in (1, 2):
+        scale = abs(ref[0, col]) or np.max(np.abs(ref[:, col]))
+        assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-12 * scale
 
 
 def test_simulate_ill_posed_exits_two(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse
 
 import graphevolve as ge
-from conftest import dirichlet_interval_bc
+from conftest import dirichlet_interval_bc, random_coeffs, random_graph
 from graphevolve.config import parse_config
 from graphevolve.graph import continuity_space
 from graphevolve.heat import energy, factorize, mass
@@ -234,6 +234,39 @@ def test_continuity_builders_take_finite_volume_path(compact_star, build):
     st = ge.heat_init(compact_star, coeffs, build(compact_star, coeffs), init,
                       dt=1e-3, n_per_edge=40)
     assert st.path == "continuity"
+
+
+def test_continuity_and_matrices_paths_converge_to_each_other():
+    """Heat through a spaces BC (continuity path) and through its boundary
+    matrices agree to second order in h; dt ~ h^2 keeps the time error below.
+    One random graph per builder: Kirchhoff, then delta."""
+    rng = np.random.default_rng(0)
+    T = 0.1
+    for builder in ("standard", "delta"):
+        g = random_graph(rng, max_l=0)
+        coeffs = random_coeffs(rng, g)
+        if builder == "standard":
+            bc = ge.from_standard(g, coeffs)
+        else:
+            degree = np.bincount(np.ravel(g.internal_edges), minlength=g.n)
+            alpha = np.where(degree > 0, rng.uniform(0.0, 2.0, g.n), 0.0)
+            bc = ge.from_delta(g, coeffs, ge.DeltaCoupling(alpha))
+        init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1))
+                                    for _ in range(g.m)), ())
+        gaps = []
+        for n in (16, 32, 64):
+            finals = []
+            for form in (bc, ge.to_boundary_matrices(bc, g.l, g.m)):
+                st = ge.heat_init(g, coeffs, form, init, T / (2 * n * n), n_per_edge=n)
+                st, _, _ = ge.heat_run(st, T, record_stride=2 * n * n)
+                finals.append((st.path, st.vector()))
+            (path_a, a), (path_b, b) = finals
+            assert (path_a, path_b) == ("continuity", "matrices")
+            gaps.append(np.linalg.norm(a - b) / np.linalg.norm(a))
+        # 16 -> 32 is still pre-asymptotic on some graphs (ratios down to 2.8)
+        assert gaps[0] / gaps[1] >= 2.5, gaps
+        assert gaps[1] / gaps[2] >= 3.0, gaps
+        assert gaps[2] <= 1e-3, gaps
 
 
 def test_gate_refuses_exactly_singular_matrix():

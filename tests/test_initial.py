@@ -1,0 +1,47 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import graphevolve as ge
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_special():
+    code = ("import sys, graphevolve.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n", [5, 101, 4001])
+def test_custom_samples_antiderivative_matches_scipy_bitwise(n):
+    from scipy.integrate import cumulative_trapezoid
+
+    values = np.random.default_rng(n).standard_normal(n)
+    prof = ge.custom_samples(values, length=1.7)
+    grid = np.linspace(0.0, 1.7, n)
+    expected = cumulative_trapezoid(values, grid, initial=0.0)
+    assert np.array_equal(prof.antiderivative(grid), expected)
+
+
+def test_gaussian_antiderivative_matches_scipy_erf():
+    from scipy.special import erf
+
+    from graphevolve.initial import _erf
+
+    x = np.linspace(-40.0, 40.0, 20001)
+    assert np.all(np.abs(_erf(x) - erf(x)) <= 1e-15 * np.abs(erf(x)))
+
+    prof = ge.gaussian(0.3, 0.07, amplitude=2.5)
+    s = np.linspace(0.0, 1.0, 1001)
+    c = 2.5 * 0.07 * np.sqrt(np.pi / 2.0)
+    z = (s - 0.3) / (np.sqrt(2.0) * 0.07)
+    z0 = -0.3 / (np.sqrt(2.0) * 0.07)
+    expected = c * (erf(z) - erf(z0))
+    # relative to the profile's scale: erf(z) - erf(z0) cancels near s = 0
+    assert np.max(np.abs(prof.antiderivative(s) - expected)) <= 1e-15 * np.max(expected)
