@@ -89,6 +89,7 @@ from .wellposed import (
     check_boundary_spaces,
     check_nonlocal_interval,
     discretize_nonlocal_R,
+    require_well_posed,
     vertex_update_matrix,
 )
 

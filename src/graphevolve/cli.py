@@ -136,37 +136,33 @@ def cmd_simulate(cfg: RunConfig, output_dir: Path, quiet: bool) -> int:
         raise ConfigError("sim", "simulate requires a sim section")
     if cfg.initial is None:
         raise ConfigError("initial", "simulate requires an initial section")
-    report = _run_check(cfg)
-    if not report.well_posed and cfg.bc_kind == "nonlocal_interval":
-        report = auto_shrink_t0(*cfg.bc.nonlocal_kernels, cfg.nonlocal_t0 or 0.25)
-    if not report.well_posed:
-        _write_report(_report_dict(report), output_dir, quiet)
-        return 2
-
     sim = cfg.sim
     g = cfg.graph
+    wave = sim.equation == "wave"
+    if wave and isinstance(cfg.bc, BoundarySpacesBC) and cfg.bc.nonlocal_kernels is not None:
+        raise ConfigError("sim.equation",
+                          "the wave propagator does not support nonlocal kernels")
     output_dir.mkdir(parents=True, exist_ok=True)
 
-    if sim.equation == "wave":
-        if isinstance(cfg.bc, BoundarySpacesBC) and cfg.bc.nonlocal_kernels is not None:
-            raise ConfigError("sim.equation",
-                              "the wave propagator does not support nonlocal kernels")
-        state = wave_init(g, cfg.coeffs, cfg.bc, cfg.initial, sim.dt, sim.T,
-                          snap_tol=sim.snap_tol, external_lengths=cfg.external_lengths)
-        state, diag, snapshots = wave_run(state, sim.T, sim.record_stride)
-        with_ut = True
-    else:
-        state = heat_init(g, cfg.coeffs, cfg.bc, cfg.initial, sim.dt,
-                          theta=sim.theta, n_per_edge=sim.n_per_edge,
-                          external_lengths=cfg.external_lengths)
-        state, diag, snapshots = heat_run(state, sim.T, sim.record_stride)
-        with_ut = False
+    # the init functions run the one well-posedness check of the run
+    try:
+        if wave:
+            state = wave_init(g, cfg.coeffs, cfg.bc, cfg.initial, sim.dt, sim.T,
+                              snap_tol=sim.snap_tol, external_lengths=cfg.external_lengths)
+        else:
+            state = heat_init(g, cfg.coeffs, cfg.bc, cfg.initial, sim.dt,
+                              theta=sim.theta, n_per_edge=sim.n_per_edge,
+                              external_lengths=cfg.external_lengths)
+    except NotWellPosedError as exc:
+        _write_report(_report_dict(exc.report), output_dir, quiet)
+        return 2
+    state, diag, snapshots = (wave_run if wave else heat_run)(state, sim.T, sim.record_stride)
 
     edge_tags = ([("e", k, e.s) for k, e in enumerate(state.external)]
                  + [("i", j, e.s) for j, e in enumerate(state.internal)])
     sol_path = output_dir / "solution.csv"
     diag_path = output_dir / "diagnostics.csv"
-    _write_solution_csv(sol_path, snapshots, edge_tags, with_ut)
+    _write_solution_csv(sol_path, snapshots, edge_tags, with_ut=wave)
     _write_diagnostics_csv(diag_path, diag)
     if not quiet:
         print(f"simulation complete: t = {_fmt(state.t)}")
@@ -226,9 +222,6 @@ def main(argv=None) -> int:
         if args.command == "transform":
             return cmd_transform(cfg, output_dir, args.quiet)
         return cmd_nonlocal_check(cfg, output_dir, args.quiet, args.auto_shrink_t0)
-    except NotWellPosedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ConfigError, GraphEvolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

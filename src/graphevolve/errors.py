@@ -42,7 +42,14 @@ class NotComplementaryError(GraphEvolveError):
 
 
 class NotWellPosedError(GraphEvolveError):
-    """Simulation refused: the boundary conditions fail their check."""
+    """Simulation refused: the boundary conditions fail their check.
+
+    ``report`` is the failing ``WellPosednessReport``.
+    """
+
+    def __init__(self, message: str, report):
+        self.report = report
+        super().__init__(message)
 
 
 class SingularUpdateError(GraphEvolveError):

@@ -31,21 +31,17 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .bc import BoundaryMatricesBC, BoundarySpacesBC, _mu_scaling, to_boundary_matrices
 from .coeffs import EdgeCoefficients
-from .errors import (
-    DimensionMismatchError,
-    NotWellPosedError,
-    SingularSystemError,
-)
+from .errors import DimensionMismatchError, SingularSystemError
 from .graph import MetricGraph, continuity_space, trace_stack
 from .initial import InitialData
 from .timeloop import run
-from .wellposed import auto_shrink_t0, check_boundary_matrices, check_boundary_spaces
+from .wellposed import require_well_posed
 
 
 @dataclass
 class HeatEdgeFields:
     s: np.ndarray
-    u: np.ndarray
+    u: np.ndarray  # from HeatState.edges(): a view into the packed state vector
     lam: np.ndarray  # lambda at the nodes
 
     @property
@@ -74,28 +70,39 @@ class SparseFactor:
 
 @dataclass
 class HeatState:
+    """Heat field of all edges packed in ``edges()`` order (external, then internal).
+
+    Edge e owns ``u[offsets[e]:offsets[e] + grids[e].size]``.
+    """
+
     graph: MetricGraph
     t: float
     dt: float
     theta: float
-    external: list[HeatEdgeFields]
-    internal: list[HeatEdgeFields]
-    offsets: list[int]  # per edge in (external + internal) order
+    grids: tuple[np.ndarray, ...]
+    lam: tuple[np.ndarray, ...]  # lambda at the nodes of each grid
+    offsets: list[int]
+    u: np.ndarray
     factor: SparseFactor  # LU of the implicit matrix a
     explicit: scipy.sparse.csr_array  # b
     cond_estimate: float  # 1-norm condition estimate of a
     path: str  # boundary rows used: "continuity", "matrices" or "nonlocal"
     step_count: int = 0
 
-    def edges(self):
-        return self.external + self.internal
+    def edges(self) -> list[HeatEdgeFields]:
+        return [HeatEdgeFields(s, self.u[off:off + s.size], lam)
+                for s, lam, off in zip(self.grids, self.lam, self.offsets)]
+
+    @property
+    def external(self) -> list[HeatEdgeFields]:
+        return self.edges()[:self.graph.l]
+
+    @property
+    def internal(self) -> list[HeatEdgeFields]:
+        return self.edges()[self.graph.l:]
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([e.u for e in self.edges()])
-
-    def scatter(self, vec: np.ndarray) -> None:
-        for off, e in zip(self.offsets, self.edges()):
-            e.u = vec[off:off + e.u.size].copy()
+        return self.u.copy()
 
 
 class _Triplets:
@@ -136,9 +143,18 @@ def factorize(a: scipy.sparse.csc_array) -> tuple[SparseFactor, float]:
             raise
         raise SingularSystemError(
             f"implicit system singular at this resolution ({exc})") from exc
+    tiny = np.finfo(float).tiny
+
+    def solve(x, trans="N"):
+        # onenormest divides each entry by its modulus, which overflows on
+        # subnormal entries; they carry no weight in a 1-norm, so drop them
+        y = lu.solve(x, trans)
+        y[np.abs(y) < tiny] = 0.0
+        return y
+
     inverse = LinearOperator(
-        a.shape, dtype=a.dtype, matvec=lu.solve, matmat=lu.solve,
-        rmatvec=lambda x: lu.solve(x, "H"), rmatmat=lambda x: lu.solve(x, "H"))
+        a.shape, dtype=a.dtype, matvec=solve, matmat=solve,
+        rmatvec=lambda x: solve(x, "H"), rmatmat=lambda x: solve(x, "H"))
     cond = float(scipy.sparse.linalg.norm(a, 1) * onenormest(inverse, t=1))
     if not np.isfinite(cond) or cond * n * 1e-12 >= 1.0:
         raise SingularSystemError(
@@ -184,35 +200,23 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     if len(external_lengths) != g.l:
         raise DimensionMismatchError("external_lengths must list one length per external edge")
 
+    require_well_posed(bc, coeffs)
     nonlocal_kernels = None
     if isinstance(bc, BoundaryMatricesBC):
-        report = check_boundary_matrices(bc, coeffs)
-        if not report.well_posed:
-            raise NotWellPosedError("boundary conditions fail the determinant criterion")
         mode = "matrices"
-    elif isinstance(bc, BoundarySpacesBC):
-        if bc.nonlocal_kernels is not None:
-            h0, h1 = bc.nonlocal_kernels
-            report = auto_shrink_t0(h0, h1, 1.0)
-            if not report.well_posed:
-                raise NotWellPosedError("nonlocal kernels fail the Young certificate "
-                                        "for every tested horizon")
-            nonlocal_kernels = (np.asarray(h0, dtype=complex).ravel(),
-                                np.asarray(h1, dtype=complex).ravel())
-            mode = "nonlocal"
-            if g.m != 1 or g.l != 0:
-                raise DimensionMismatchError(
-                    "nonlocal interval kernels require a single internal edge"
-                )
-        else:
-            report = check_boundary_spaces(bc)
-            if not report.well_posed:
-                raise NotWellPosedError("boundary spaces fail the direct-sum criterion")
-            mode = "continuity" if _is_continuity_form(bc, g) else "matrices"
-            if mode == "matrices":
-                bc = to_boundary_matrices(bc, g.l, g.m)
+    elif bc.nonlocal_kernels is not None:
+        h0, h1 = bc.nonlocal_kernels
+        nonlocal_kernels = (np.asarray(h0, dtype=complex).ravel(),
+                            np.asarray(h1, dtype=complex).ravel())
+        mode = "nonlocal"
+        if g.m != 1 or g.l != 0:
+            raise DimensionMismatchError(
+                "nonlocal interval kernels require a single internal edge"
+            )
     else:
-        raise TypeError("bc must be BoundaryMatricesBC or BoundarySpacesBC")
+        mode = "continuity" if _is_continuity_form(bc, g) else "matrices"
+        if mode == "matrices":
+            bc = to_boundary_matrices(bc, g.l, g.m)
 
     # grids, per-edge coefficients, initial values
     external, internal, offsets = [], [], []
@@ -274,7 +278,8 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         raise AssertionError(f"assembled {row} rows for {total} unknowns")
 
     factor, cond = factorize(a.to_coo(total).tocsc())
-    return HeatState(g, 0.0, dt, theta, external, internal, offsets,
+    return HeatState(g, 0.0, dt, theta, tuple(e.s for e in edges), tuple(e.lam for e in edges),
+                     offsets, np.concatenate([e.u for e in edges]),
                      factor, b.to_coo(total).tocsr(), cond, mode)
 
 
@@ -394,8 +399,7 @@ def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, edges, offsets,
 
 def heat_step(state: HeatState) -> None:
     """One theta-step: a sparse mat-vec with b, then the LU solve with a."""
-    new = state.factor.solve(state.explicit @ state.vector())
-    state.scatter(new)
+    state.u = state.factor.solve(state.explicit @ state.u)
     state.step_count += 1
     state.t = state.step_count * state.dt
 

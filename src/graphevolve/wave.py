@@ -28,7 +28,6 @@ from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
 from .coeffs import EdgeCoefficients, constant
 from .errors import (
     DimensionMismatchError,
-    NotWellPosedError,
     SpeedSnapExceededError,
     SupportViolationError,
     UnsupportedNonlocalConditionError,
@@ -37,7 +36,7 @@ from .errors import (
 from .graph import MetricGraph
 from .initial import InitialData
 from .timeloop import run
-from .wellposed import VertexUpdate, check_boundary_matrices, vertex_update_matrix
+from .wellposed import VertexUpdate, require_well_posed, vertex_update_matrix
 
 
 class WaveEdgeFields:
@@ -176,27 +175,24 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
               snap_tol: float = 0.05, external_lengths=()) -> WaveState:
     """Build a wave state with snapped per-edge grids and a vertex solve.
 
-    Boundary spaces are converted to boundary matrices first.  Refuses
-    nonlocal kernels, boundary conditions that fail the determinant
-    criterion, variable coefficients, excessive speed snapping, and external
-    initial data that would reach the truncation cut before time T.
+    Refuses nonlocal kernels and boundary conditions that fail the criterion
+    of their form (``require_well_posed``); boundary spaces are then
+    converted to boundary matrices.  Also refuses variable coefficients,
+    excessive speed snapping, and external initial data that would reach the
+    truncation cut before time T.
     """
     coeffs.validate_against(g.m, g.l)
     if len(init.internal) != g.m or len(init.external) != g.l:
         raise DimensionMismatchError("initial data does not match the edge counts")
     if len(external_lengths) != g.l:
         raise DimensionMismatchError("external_lengths must list one length per external edge")
-    if isinstance(bc, BoundarySpacesBC):
-        if bc.nonlocal_kernels is not None:
-            raise UnsupportedNonlocalConditionError(
-                "the wave propagator does not support nonlocal kernels"
-            )
-        bc = to_boundary_matrices(bc, g.l, g.m)
-    report = check_boundary_matrices(bc, coeffs)
-    if not report.well_posed:
-        raise NotWellPosedError(
-            f"boundary conditions rejected (sigma_min = {report.sigma_min:.3e})"
+    if isinstance(bc, BoundarySpacesBC) and bc.nonlocal_kernels is not None:
+        raise UnsupportedNonlocalConditionError(
+            "the wave propagator does not support nonlocal kernels"
         )
+    require_well_posed(bc, coeffs)
+    if isinstance(bc, BoundarySpacesBC):
+        bc = to_boundary_matrices(bc, g.l, g.m)
 
     steps = max(1, math.ceil(T / dt_target))
     dt = T / steps

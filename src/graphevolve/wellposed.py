@@ -1,6 +1,7 @@
 """Well-posedness checks for boundary conditions on a metric graph.
 
-Three criteria are implemented:
+Three criteria are implemented, and ``require_well_posed`` picks the one
+that fits the form of a boundary condition:
 
 * Determinant -- invertibility of the block matrix
   ``[[V0e, V1i, V0i], [Wb0e, Wb1i, Wb0i]]`` (W-blocks scaled by inverse
@@ -23,7 +24,7 @@ import scipy.linalg
 
 from .bc import BoundaryMatricesBC, BoundarySpacesBC
 from .coeffs import EdgeCoefficients
-from .errors import BadT0Error, DimensionMismatchError, SingularUpdateError
+from .errors import BadT0Error, DimensionMismatchError, NotWellPosedError, SingularUpdateError
 
 WELL_POSED = "WellPosed"
 NOT_WELL_POSED = "NotWellPosed"
@@ -273,3 +274,26 @@ def auto_shrink_t0(h0_samples, h1_samples, t0: float,
         t /= 2.0
         report = check_nonlocal_interval(h0_samples, h1_samples, t)
     return report
+
+
+def require_well_posed(bc: BoundaryMatricesBC | BoundarySpacesBC,
+                       coeffs: EdgeCoefficients | None = None) -> None:
+    """Apply the criterion of the form of `bc`.
+
+    Matrices -> Determinant (speed-normalized by `coeffs`); spaces with
+    nonlocal kernels -> NonlocalYoung, halving t0 from 1 down to 2^-10;
+    other spaces -> DirectSum.  Raises NotWellPosedError, with the failing
+    report on ``exc.report``, and TypeError for any other `bc`.
+    """
+    if isinstance(bc, BoundaryMatricesBC):
+        report = check_boundary_matrices(bc, coeffs)
+    elif not isinstance(bc, BoundarySpacesBC):
+        raise TypeError("bc must be BoundaryMatricesBC or BoundarySpacesBC")
+    elif bc.nonlocal_kernels is not None:
+        report = auto_shrink_t0(*bc.nonlocal_kernels, 1.0)
+    else:
+        report = check_boundary_spaces(bc)
+    if not report.well_posed:
+        raise NotWellPosedError(
+            f"boundary conditions fail the {report.criterion} criterion "
+            f"({report.verdict})", report)

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +171,71 @@ def test_simulate_matches_reference_diagnostics(tmp_path, name):
         assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-12 * scale
 
 
+# Interval whose Y0 and Y1 nearly coincide: the direct sum fails.
+SPACES_Y0_NEAR_Y1 = (
+    "graph:\n  vertices: [left, right]\n  internal_edges: [[left, right]]\n"
+    "coefficients:\n  internal:\n    - {kind: constant, value: 1.0}\n"
+    "bc:\n  kind: boundary_spaces\n  y1_basis: [[1], [1]]\n"
+    "  y0_basis: [[1], [1.00000000000001]]\n")
+
+
 def test_simulate_ill_posed_exits_two(tmp_path):
-    text = (CONFIGS / "periodic-equal-a.cfg").read_text() + (
-        "sim:\n  equation: heat\n  T: 0.01\n  dt: 0.001\n"
-        "initial:\n  internal:\n    - {u0: {kind: sine_mode, mode: 1}}\n")
-    cfg = tmp_path / "illposed.cfg"
-    cfg.write_text(text)
-    assert run_cli("simulate", cfg, "--output-dir", tmp_path, "--quiet") == 2
+    """simulate refuses as check does: exit 2, the same report.json, no CSV."""
+    periodic = (CONFIGS / "periodic-equal-a.cfg").read_text()
+    cases = [(periodic, "heat"), (periodic, "wave"),
+             (SPACES_Y0_NEAR_Y1, "heat"), (SPACES_Y0_NEAR_Y1, "wave")]
+    for n, (bc_text, equation) in enumerate(cases):
+        cfg = tmp_path / f"illposed{n}.cfg"
+        cfg.write_text(bc_text + (
+            f"sim:\n  equation: {equation}\n  T: 0.01\n  dt: 0.001\n"
+            "initial:\n  internal:\n    - {u0: {kind: sine_mode, mode: 1}}\n"))
+        checked, simulated = tmp_path / f"check{n}", tmp_path / f"simulate{n}"
+        assert run_cli("check", cfg, "--output-dir", checked, "--quiet") == 2
+        assert run_cli("simulate", cfg, "--output-dir", simulated, "--quiet") == 2
+        assert [p.name for p in simulated.iterdir()] == ["report.json"]
+        assert ((simulated / "report.json").read_bytes()
+                == (checked / "report.json").read_bytes())
+
+
+CRITERIA = ("check_boundary_matrices", "check_boundary_spaces",
+            "check_nonlocal_interval", "auto_shrink_t0")
+
+
+@pytest.mark.parametrize("name, equation, calls", [
+    ("kirchhoff-star-heat", "heat", 1),
+    ("nonlocal-interval", "heat", 1),
+    ("dirichlet-standing-wave", "wave", 2),
+    ("kirchhoff-star-heat", "wave", 2),
+], ids=["heat-spaces", "heat-nonlocal", "wave-matrices", "wave-spaces"])
+def test_simulate_checks_well_posedness_once(tmp_path, monkeypatch, name, equation, calls):
+    """One outermost criterion call per simulate, in the init's gate; wave adds
+    the vertex update's own determinant on the snapped speeds."""
+    outermost, depth = [], [0]
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            if depth[0] == 0:
+                outermost.append(fn.__name__)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for attr in CRITERIA:
+        orig = getattr(ge.wellposed, attr)
+        counted = counting(orig)
+        for modname, mod in list(sys.modules.items()):
+            if modname == "graphevolve" or modname.startswith("graphevolve."):
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, counted)
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace("equation: heat", f"equation: {equation}"))
+    assert run_cli("simulate", cfg, "--output-dir", tmp_path, "--quiet") == 0
+    assert len(outermost) == calls, outermost
 
 
 def test_simulate_without_sim_section_is_config_error(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse
 
 import graphevolve as ge
 from conftest import dirichlet_interval_bc, random_coeffs, random_graph
+from graphevolve import heat
 from graphevolve.config import parse_config
 from graphevolve.graph import continuity_space
 from graphevolve.heat import energy, factorize, mass
@@ -30,8 +32,11 @@ def test_theta_range_validation(interval):
 
 def test_rejects_ill_posed_bc(interval):
     bad = ge.matrices_bc(l=0, m=1, k0=1, k1=1, v0i=[[1]], u1i=[[1]])
-    with pytest.raises(ge.NotWellPosedError):
-        ge.heat_init(interval, ge.unit_coefficients(1), bad, sine_initial(), dt=1e-3)
+    coeffs = ge.unit_coefficients(1)
+    with pytest.raises(ge.NotWellPosedError) as info:
+        ge.heat_init(interval, coeffs, bad, sine_initial(), dt=1e-3)
+    assert info.value.report == ge.check_boundary_matrices(bad, coeffs)
+    assert info.value.report.verdict == "NotWellPosed"
 
 
 def test_dirichlet_decay_rate(interval):
@@ -150,8 +155,12 @@ def test_nonlocal_interval_bc_residual(interval):
 def test_nonlocal_rejects_bad_kernels(interval):
     kernels = ge.from_nonlocal_interval(np.full(101, 5000.0), np.full(101, 5000.0))
     init = ge.InitialData((ge.EdgeInitial(ge.gaussian(0.5, 0.1)),), ())
-    with pytest.raises(ge.NotWellPosedError):
+    with pytest.raises(ge.NotWellPosedError) as info:
         ge.heat_init(interval, ge.unit_coefficients(1), kernels, init, dt=1e-3)
+    # the search halves t0 from 1 and gives up at 2^-10
+    assert info.value.report == ge.auto_shrink_t0(*kernels.nonlocal_kernels, 1.0)
+    assert info.value.report.dims["t0"] == 2.0**-10
+    assert info.value.report.verdict == "Inconclusive"
 
 
 def test_external_edge_decay(star):
@@ -239,18 +248,22 @@ def test_continuity_builders_take_finite_volume_path(compact_star, build):
 def test_continuity_and_matrices_paths_converge_to_each_other():
     """Heat through a spaces BC (continuity path) and through its boundary
     matrices agree to second order in h; dt ~ h^2 keeps the time error below.
-    One random graph per builder: Kirchhoff, then delta."""
+    One random graph per builder: Kirchhoff, delta, then nonlocal matrices."""
     rng = np.random.default_rng(0)
     T = 0.1
-    for builder in ("standard", "delta"):
+    for builder in ("standard", "delta", "nonlocal_matrices"):
         g = random_graph(rng, max_l=0)
         coeffs = random_coeffs(rng, g)
         if builder == "standard":
             bc = ge.from_standard(g, coeffs)
-        else:
+        elif builder == "delta":
             degree = np.bincount(np.ravel(g.internal_edges), minlength=g.n)
             alpha = np.where(degree > 0, rng.uniform(0.0, 2.0, g.n), 0.0)
             bc = ge.from_delta(g, coeffs, ge.DeltaCoupling(alpha))
+        else:
+            bc = ge.from_nonlocal_matrices(g, coeffs, np.zeros((0, 0)),
+                                           rng.uniform(-1.0, 1.0, (g.m, g.m)),
+                                           rng.uniform(-1.0, 1.0, (g.m, g.m)))
         init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1))
                                     for _ in range(g.m)), ())
         gaps = []
@@ -288,6 +301,29 @@ def test_gate_refuses_ill_conditioned_matrix():
     factor, cond = factorize(scipy.sparse.diags_array(diag.astype(complex), format="csc"))
     assert cond == pytest.approx(1e9, rel=1e-12)
     assert np.allclose(factor.solve(diag.astype(complex)), 1.0)
+
+
+def test_gate_estimate_has_no_overflow_on_subnormal_solves(monkeypatch):
+    """Solves with subnormal entries once made onenormest divide by ~0."""
+    captured = []
+
+    def spy(a):
+        captured.append(a)
+        return factorize(a)
+
+    monkeypatch.setattr(heat, "factorize", spy)
+    rng = np.random.default_rng(0)
+    g = random_graph(rng, max_l=0)
+    coeffs = random_coeffs(rng, g)
+    init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1))
+                                for _ in range(g.m)), ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = ge.heat_init(g, coeffs, ge.from_standard(g, coeffs), init, 0.02 / 8192,
+                          n_per_edge=64)
+    dense = captured[0].toarray()
+    exact = np.linalg.norm(dense, 1) * np.linalg.norm(np.linalg.inv(dense), 1)
+    assert exact / 3.0 <= st.cond_estimate <= exact * (1.0 + 1e-12)
 
 
 def test_gate_estimate_bounds_condition_number():

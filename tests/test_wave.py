@@ -51,10 +51,17 @@ def test_init_rejects_variable_coefficients(interval):
 
 def test_init_rejects_ill_posed_bc(interval):
     bad = ge.matrices_bc(l=0, m=1, k0=1, k1=1, v0i=[[1]], u1i=[[1]])
+    coeffs = ge.unit_coefficients(1)
     init = ge.InitialData((ge.EdgeInitial(ge.zero_profile()),), ())
-    with pytest.raises(ge.NotWellPosedError):
-        ge.wave_init(interval, ge.unit_coefficients(1), bad, init,
-                     dt_target=1 / 100, T=1.0)
+    with pytest.raises(ge.NotWellPosedError) as info:
+        ge.wave_init(interval, coeffs, bad, init, dt_target=1 / 100, T=1.0)
+    assert info.value.report == ge.check_boundary_matrices(bad, coeffs)
+    # spaces are judged by the direct sum before they are converted
+    near = ge.BoundarySpacesBC(np.array([[1.0], [1.0]]), np.array([[1.0], [1.0 + 1e-14]]))
+    with pytest.raises(ge.NotWellPosedError) as info:
+        ge.wave_init(interval, coeffs, near, init, dt_target=1 / 100, T=1.0)
+    assert info.value.report == ge.check_boundary_spaces(near)
+    assert info.value.report.criterion == "DirectSum"
 
 
 def test_init_rejects_snap_violation(interval):
