@@ -10,6 +10,7 @@ from .bc import (
     BoundarySpacesBC,
     DeltaCoupling,
     TraceVector,
+    VertexPartition,
     flux_residual,
     from_delta,
     from_generalized_node,
@@ -65,9 +66,11 @@ from .graph import (
     MetricGraph,
     continuity_space,
     degree_matrices,
+    endpoint_vertices,
     incidence_matrices,
     trace_stack,
     validate_graph,
+    vertex_slots,
 )
 from .heat import HeatState, heat_init, heat_run, heat_step
 from .initial import (

@@ -10,10 +10,21 @@ Two interchangeable representations are supported:
 
 Trace ordering is always ``(f_e(0), f_i(0), f_i(1))``; the flux trace carries
 ``mu``-weighted *outward* derivatives, so the ``f_i(1)`` block has a minus sign.
+
+Local vertex conditions couple only the edge ends at one vertex.  The
+builders that know this (``from_standard``, ``from_delta``,
+``from_nonlocal_matrices``) record it as a ``VertexPartition``: the trace
+slots of each vertex and the Y1/Y0 columns supported on them, which
+``to_boundary_matrices`` carries over to value/flux rows.  Rank tests,
+annihilators and the well-posedness checks then work on one deg(v)-sized
+block per vertex.  A condition without a partition is one block over all
+slots.  Only zeroth-order terms (``local_U``, the U-blocks) may couple
+different vertices.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +38,7 @@ from .errors import (
     RankDeficientBasisError,
     ZeroDegreeVertexError,
 )
-from .graph import MetricGraph, continuity_space, degree_matrices
+from .graph import MetricGraph, continuity_space, endpoint_vertices, vertex_slots
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,66 @@ def make_trace(values_e0, values_i0, values_i1,
 
 
 @dataclass(frozen=True)
+class VertexPartition:
+    """Per-vertex blocks of a local vertex condition.
+
+    Block b owns the trace slots ``slots[b]`` and the indices ``value[b]`` and
+    ``flux[b]``: in the spaces form the columns of Y1 and of Y0, in the
+    matrices form the value rows and the flux rows.  A condition checks, when
+    it is built, that every slot, column and row belongs to exactly one
+    block, that each block is square (``len(slots[b]) == len(value[b]) +
+    len(flux[b])``), and that each basis column and each V/W row is zero off
+    the slots of its block.
+    """
+
+    slots: tuple[np.ndarray, ...]
+    value: tuple[np.ndarray, ...]
+    flux: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for name in ("slots", "value", "flux"):
+            object.__setattr__(self, name, tuple(np.asarray(x, dtype=np.intp).ravel()
+                                                 for x in getattr(self, name)))
+        if not len(self.slots) == len(self.value) == len(self.flux):
+            raise DimensionMismatchError("slots, value and flux list different block counts")
+
+    @classmethod
+    def single(cls, dim: int, n_value: int, n_flux: int) -> VertexPartition:
+        """One block over all slots, value indices and flux indices."""
+        return cls((np.arange(dim),), (np.arange(n_value),), (np.arange(n_flux),))
+
+    def owners(self, dim: int, n_value: int, n_flux: int) -> tuple[np.ndarray, ...]:
+        """Block of every slot, value index and flux index.
+
+        Raises DimensionMismatchError unless each belongs to exactly one block
+        and every block is square.
+        """
+        out = []
+        for sets, n, name in ((self.slots, dim, "trace slot"),
+                              (self.value, n_value, "value index"),
+                              (self.flux, n_flux, "flux index")):
+            flat = np.concatenate(sets) if sets else np.zeros(0, dtype=np.intp)
+            if not np.array_equal(np.sort(flat), np.arange(n)):
+                raise DimensionMismatchError(f"the partition does not own each {name} once")
+            owner = np.empty(n, dtype=np.intp)
+            owner[flat] = np.repeat(np.arange(len(sets)), [x.size for x in sets])
+            out.append(owner)
+        for b, (s, v, f) in enumerate(zip(self.slots, self.value, self.flux)):
+            if s.size != v.size + f.size:
+                raise DimensionMismatchError(f"vertex block {b} has {s.size} slots but "
+                                             f"{v.size + f.size} value/flux indices")
+        return tuple(out)
+
+
+def _check_support(a: np.ndarray, row_owner: np.ndarray, col_owner: np.ndarray,
+                   name: str) -> None:
+    """Raise unless every nonzero a[i, j] has row_owner[i] == col_owner[j]."""
+    r, c = np.nonzero(a)
+    if np.any(row_owner[r] != col_owner[c]):
+        raise DimensionMismatchError(f"{name} has entries outside its vertex block")
+
+
+@dataclass(frozen=True)
 class BoundaryMatricesBC:
     """k0 value conditions and k1 derivative conditions in matrix form.
 
@@ -85,6 +156,7 @@ class BoundaryMatricesBC:
     u0e: np.ndarray
     u0i: np.ndarray
     u1i: np.ndarray
+    partition: VertexPartition | None = None
 
     def __post_init__(self):
         for name in ("v0e", "v0i", "v1i", "w0e", "w0i", "w1i", "u0e", "u0i", "u1i"):
@@ -101,6 +173,13 @@ class BoundaryMatricesBC:
                 raise DimensionMismatchError(
                     f"{name} has shape {getattr(self, name).shape}, expected {(rows, cols)}"
                 )
+        if self.partition is not None:
+            slot_of, value_of, flux_of = self.partition.owners(l + 2 * m, k0, k1)
+            for rows, owner in (((self.v0e, self.v0i, self.v1i), value_of),
+                                ((self.w0e, self.w0i, self.w1i), flux_of)):
+                for part, lo in zip(rows, (0, l, l + m)):
+                    _check_support(part, owner, slot_of[lo:lo + part.shape[1]],
+                                   "a value or flux row")
 
     @property
     def k0(self) -> int:
@@ -156,6 +235,9 @@ class BoundarySpacesBC:
     (they are consumed by the heat assembler).
     mu_endpoints records the endpoint wave speeds (mu_e(0), mu_i(0), mu_i(1))
     used to translate between flux and raw-derivative conventions.
+    partition, set only by the continuity builders (``from_standard``,
+    ``from_delta``, ``from_nonlocal_matrices``), lists the vertex blocks:
+    there Y1 is the continuity space and Y0 = C * Y1-perp block by block.
     """
 
     y1_basis: np.ndarray
@@ -163,6 +245,7 @@ class BoundarySpacesBC:
     local_U: np.ndarray | None = None
     nonlocal_kernels: tuple | None = None
     mu_endpoints: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    partition: VertexPartition | None = None
 
     def __post_init__(self):
         y1 = np.atleast_2d(np.asarray(self.y1_basis, dtype=complex))
@@ -171,9 +254,15 @@ class BoundarySpacesBC:
             raise DimensionMismatchError("Y0 and Y1 bases live in different trace spaces")
         object.__setattr__(self, "y1_basis", y1)
         object.__setattr__(self, "y0_basis", y0)
-        for basis, name in ((y1, "y1_basis"), (y0, "y0_basis")):
-            if basis.shape[1] and _rank(basis) < basis.shape[1]:
-                raise RankDeficientBasisError(f"{name} does not have full column rank")
+        if self.partition is not None:
+            slot_of, value_of, flux_of = self.partition.owners(y1.shape[0], y1.shape[1],
+                                                               y0.shape[1])
+            _check_support(y1, slot_of, value_of, "y1_basis")
+            _check_support(y0, slot_of, flux_of, "y0_basis")
+        for _, y1_block, y0_block in space_blocks(self):
+            for basis, name in ((y1_block, "y1_basis"), (y0_block, "y0_basis")):
+                if basis.shape[1] and _rank(basis) < basis.shape[1]:
+                    raise RankDeficientBasisError(f"{name} does not have full column rank")
         if self.local_U is not None:
             u = np.asarray(self.local_U, dtype=complex)
             n = y1.shape[0]
@@ -194,6 +283,47 @@ class BoundarySpacesBC:
     @property
     def d0(self) -> int:
         return self.y0_basis.shape[1]
+
+
+def vertex_blocks(bc: BoundaryMatricesBC | BoundarySpacesBC) -> VertexPartition:
+    """The partition of `bc`, or one block over everything if it has none."""
+    if bc.partition is not None:
+        return bc.partition
+    if isinstance(bc, BoundarySpacesBC):
+        return VertexPartition.single(bc.trace_dim, bc.d1, bc.d0)
+    return VertexPartition.single(bc.trace_dim, bc.k0, bc.k1)
+
+
+def space_blocks(bc: BoundarySpacesBC):
+    """Yield (slots, Y1 block, Y0 block) for each vertex block of `bc`."""
+    part = vertex_blocks(bc)
+    for slots, value, flux in zip(part.slots, part.value, part.flux):
+        yield slots, bc.y1_basis[np.ix_(slots, value)], bc.y0_basis[np.ix_(slots, flux)]
+
+
+def _gather_blocks(parts, rows, slots) -> list[np.ndarray]:
+    """Blocks rows[b] x slots[b] of the trace-ordered matrix [e | i0 | i1]."""
+    r = np.concatenate([np.repeat(rb, sb.size) for rb, sb in zip(rows, slots)])
+    c = np.concatenate([np.tile(sb, rb.size) for rb, sb in zip(rows, slots)])
+    vals = np.empty(r.size, dtype=complex)
+    lo = 0
+    for part in parts:
+        inside = (c >= lo) & (c < lo + part.shape[1])
+        vals[inside] = part[r[inside], c[inside] - lo]
+        lo += part.shape[1]
+    ends = np.cumsum([rb.size * sb.size for rb, sb in zip(rows, slots)])[:-1]
+    return [x.reshape(rb.size, sb.size) for x, rb, sb in zip(np.split(vals, ends), rows, slots)]
+
+
+def matrix_blocks(bc: BoundaryMatricesBC):
+    """(slots, value rows, flux rows, V block, W block) of each vertex block.
+
+    The block columns follow `slots` (trace order); W is unscaled.
+    """
+    part = vertex_blocks(bc)
+    return zip(part.slots, part.value, part.flux,
+               _gather_blocks((bc.v0e, bc.v0i, bc.v1i), part.value, part.slots),
+               _gather_blocks((bc.w0e, bc.w0i, bc.w1i), part.flux, part.slots))
 
 
 @dataclass(frozen=True)
@@ -239,14 +369,27 @@ def from_standard(g: MetricGraph, coeffs: EdgeCoefficients) -> BoundarySpacesBC:
 
     Y1 is the continuity space; Y0 = C * Y1-perp with
     C = diag(mu_e(0)^-1, mu_i(0)^-1, mu_i(1)^-1), so the flux membership is
-    exactly the vanishing of lambda-weighted outward derivative sums.
+    exactly the vanishing of lambda-weighted outward derivative sums.  Both
+    are built per vertex: a vertex of degree d owns one Y1 column and the
+    d - 1 Y0 columns of an orthonormal basis of (1, ..., 1)-perp in C^d.
     """
     coeffs.validate_against(g.m, g.l)
     mu_ends = coeffs.mu_endpoint_diagonals()
-    y1 = continuity_space(g)
-    perp = _hermitian_complement(y1, g.trace_dim)
-    y0 = perp / _mu_scaling(mu_ends)[:, None]
-    return BoundarySpacesBC(y1, y0, mu_endpoints=mu_ends)
+    speeds = _mu_scaling(mu_ends)
+    slots = vertex_slots(g)
+    y0 = np.zeros((g.trace_dim, g.trace_dim - len(slots)), dtype=complex)
+    perps: dict[int, np.ndarray] = {}  # one orthonormal (1, ..., 1)-perp per degree
+    flux, col = [], 0
+    for s in slots:
+        d = s.size
+        if d not in perps:
+            perps[d] = _hermitian_complement(np.ones((d, 1)), d)
+        y0[s, col:col + d - 1] = perps[d] / speeds[s][:, None]
+        flux.append(np.arange(col, col + d - 1))
+        col += d - 1
+    partition = VertexPartition(slots, tuple(np.array([b]) for b in range(len(slots))),
+                                tuple(flux))
+    return BoundarySpacesBC(continuity_space(g), y0, mu_endpoints=mu_ends, partition=partition)
 
 
 def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,
@@ -262,21 +405,18 @@ def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,
         raise DimensionMismatchError(
             f"alpha has length {delta.alpha.size}, graph has {g.n} vertices"
         )
-    deg = np.diag(degree_matrices(g).d_total)
+    ends = endpoint_vertices(g)
+    deg = np.bincount(ends, minlength=g.n)
     for v in range(g.n):
         if deg[v] == 0 and delta.alpha[v] != 0:
             raise ZeroDegreeVertexError(f"alpha[{v}] != 0 but vertex {v} is isolated")
     weights = np.zeros(g.n, dtype=complex)
     nz = deg > 0
     weights[nz] = delta.alpha[nz] / deg[nz]
-    endpoint_vertices = (list(g.external_edges)
-                         + [t for t, _ in g.internal_edges]
-                         + [h for _, h in g.internal_edges])
-    dtilde = np.array([weights[v] for v in endpoint_vertices])
+    dtilde = weights[ends]
     base = from_standard(g, coeffs)
     local_u = np.diag(-dtilde / _mu_scaling(base.mu_endpoints))
-    return BoundarySpacesBC(base.y1_basis, base.y0_basis, local_U=local_u,
-                            mu_endpoints=base.mu_endpoints)
+    return dataclasses.replace(base, local_U=local_u)
 
 
 def from_nonlocal_matrices(g: MetricGraph, coeffs: EdgeCoefficients,
@@ -295,8 +435,7 @@ def from_nonlocal_matrices(g: MetricGraph, coeffs: EdgeCoefficients,
     base = from_standard(g, coeffs)
     block = scipy.linalg.block_diag(m_e, m_im, m_ip) if g.trace_dim else np.zeros((0, 0))
     local_u = -block.astype(complex) / _mu_scaling(base.mu_endpoints)[:, None]
-    return BoundarySpacesBC(base.y1_basis, base.y0_basis, local_U=local_u,
-                            mu_endpoints=base.mu_endpoints)
+    return dataclasses.replace(base, local_U=local_u)
 
 
 def from_matrix_mixed(g: MetricGraph, k_matrix: np.ndarray) -> BoundarySpacesBC:
@@ -360,12 +499,40 @@ def from_nonlocal_interval(h0_samples, h1_samples) -> BoundarySpacesBC:
                             nonlocal_kernels=(h0, h1), mu_endpoints=mu_ends)
 
 
+def _annihilators(bc: BoundarySpacesBC):
+    """Value rows R1, flux rows R0 and U-rows R0 @ local_U, built block by block.
+
+    ker R1 = span Y1 and ker R0 = span Y0 under the bilinear pairing.  Each
+    block contributes rows supported on its slots, and the returned
+    partition lists them; only the U-rows may reach other blocks.
+    """
+    dim = bc.trace_dim
+    local = [(slots, _annihilator_rows(y1, slots.size), _annihilator_rows(y0, slots.size))
+             for slots, y1, y0 in space_blocks(bc)]
+    r_val = np.zeros((sum(r1.shape[0] for _, r1, _ in local), dim), dtype=complex)
+    r_flux = np.zeros((sum(r0.shape[0] for _, _, r0 in local), dim), dtype=complex)
+    u_rows = np.zeros(r_flux.shape, dtype=complex)
+    value_rows, flux_rows = [], []
+    i = j = 0
+    for slots, r1, r0 in local:
+        value_rows.append(np.arange(i, i + r1.shape[0]))
+        flux_rows.append(np.arange(j, j + r0.shape[0]))
+        i, j = i + r1.shape[0], j + r0.shape[0]
+        r_val[value_rows[-1][:, None], slots] = r1
+        r_flux[flux_rows[-1][:, None], slots] = r0
+        if bc.local_U is not None:
+            u_rows[flux_rows[-1]] = r0 @ bc.local_U[slots]
+    partition = VertexPartition(tuple(s for s, _, _ in local), value_rows, flux_rows)
+    return r_val, r_flux, u_rows, partition
+
+
 def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatricesBC:
     """Row form of the two membership conditions.
 
     k0 rows annihilate Y1 (value conditions); k1 rows annihilate Y0 applied to
     the flux trace plus U-terms, unpacked into W/U blocks with the endpoint
-    speeds restoring the raw-derivative convention.
+    speeds restoring the raw-derivative convention.  The rows are built per
+    vertex block, and a partitioned `bc` passes its partition on to them.
     """
     dim = bc.trace_dim
     if l + 2 * m != dim:
@@ -374,20 +541,20 @@ def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatric
         raise NotComplementaryError(
             f"d0 + d1 = {bc.d0 + bc.d1} != {dim}; conversion undefined"
         )
-    joint = np.hstack([bc.y0_basis, bc.y1_basis])
-    s = np.linalg.svd(joint, compute_uv=False)
-    if s[-1] <= dim * np.finfo(float).eps * s[0] * 100:
+    # singular values of [Y0 | Y1] are those of its vertex blocks together
+    smin, smax = np.inf, 0.0
+    for _, y1, y0 in space_blocks(bc):
+        s = np.linalg.svd(np.hstack([y0, y1]), compute_uv=False)
+        smin, smax = min(smin, s[-1]), max(smax, s[0])
+    if smin <= dim * np.finfo(float).eps * smax * 100:
         raise NotComplementaryError("Y0 and Y1 are not complementary (joint basis singular)")
 
-    r_val = _annihilator_rows(bc.y1_basis, dim)  # k0 x dim
-    r_flux = _annihilator_rows(bc.y0_basis, dim)  # k1 x dim
+    r_val, r_flux, u_rows, partition = _annihilators(bc)
 
     mu_ends = bc.mu_endpoints
     if mu_ends is None:
         mu_ends = (np.ones(l), np.ones(m), np.ones(m))
     mu_e0, mu_i0, mu_i1 = (np.atleast_1d(x) for x in mu_ends)
-
-    u_rows = r_flux @ bc.local_U if bc.local_U is not None else np.zeros((r_flux.shape[0], dim), dtype=complex)
 
     sl = slice(0, l)
     si0 = slice(l, l + m)
@@ -396,20 +563,18 @@ def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatric
         r_val[:, sl], r_val[:, si0], r_val[:, si1],
         r_flux[:, sl] * mu_e0, r_flux[:, si0] * mu_i0, r_flux[:, si1] * mu_i1,
         u_rows[:, sl], u_rows[:, si0], u_rows[:, si1],
+        partition=None if bc.partition is None else partition,
     )
 
 
 def value_residual(bc, trace: TraceVector) -> np.ndarray:
     """Residual of the value conditions; zero iff the value trace is admissible."""
     v = trace.value_trace
-    if isinstance(bc, BoundaryMatricesBC):
-        if v.size != bc.trace_dim:
-            raise DimensionMismatchError("trace length does not match the conditions")
-        rows = np.hstack([bc.v0e, bc.v0i, bc.v1i])
-        return rows @ v
     if v.size != bc.trace_dim:
         raise DimensionMismatchError("trace length does not match the conditions")
-    return _annihilator_rows(bc.y1_basis, bc.trace_dim) @ v
+    if isinstance(bc, BoundaryMatricesBC):
+        return np.hstack([bc.v0e, bc.v0i, bc.v1i]) @ v
+    return _annihilators(bc)[0] @ v
 
 
 def flux_residual(bc, trace: TraceVector,
@@ -421,9 +586,9 @@ def flux_residual(bc, trace: TraceVector,
     unless `coeffs` is given).
     """
     v, f = trace.value_trace, trace.flux_trace
+    if v.size != bc.trace_dim:
+        raise DimensionMismatchError("trace length does not match the conditions")
     if isinstance(bc, BoundaryMatricesBC):
-        if v.size != bc.trace_dim:
-            raise DimensionMismatchError("trace length does not match the conditions")
         if coeffs is not None:
             mu_scale = _mu_scaling(coeffs.mu_endpoint_diagonals())
         else:
@@ -431,7 +596,5 @@ def flux_residual(bc, trace: TraceVector,
         wbar = np.hstack([bc.w0e, bc.w0i, bc.w1i]) / mu_scale
         u_rows = np.hstack([bc.u0e, bc.u0i, bc.u1i])
         return wbar @ f + u_rows @ v
-    if v.size != bc.trace_dim:
-        raise DimensionMismatchError("trace length does not match the conditions")
-    combined = f + (bc.local_U @ v if bc.local_U is not None else 0.0)
-    return _annihilator_rows(bc.y0_basis, bc.trace_dim) @ combined
+    _, r_flux, u_rows, _ = _annihilators(bc)
+    return r_flux @ f + u_rows @ v

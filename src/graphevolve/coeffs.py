@@ -116,11 +116,14 @@ class EdgeCoefficients:
             )
 
     def mu_endpoint_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu_e(0), mu_i(0), mu_i(1)) as 1-d arrays in edge order."""
-        mu_e0 = np.array([mu(p, 0.0) for p in self.external])
-        mu_i0 = np.array([mu(p, 0.0) for p in self.internal])
-        mu_i1 = np.array([mu(p, 1.0) for p in self.internal])
-        return mu_e0, mu_i0, mu_i1
+        """(mu_e(0), mu_i(0), mu_i(1)) as 1-d arrays in edge order.
+
+        ``__post_init__`` checked every profile positive on its whole edge.
+        """
+        def speeds(profiles, s):
+            return np.sqrt(np.array([p(s) for p in profiles], dtype=float))
+
+        return speeds(self.external, 0.0), speeds(self.internal, 0.0), speeds(self.internal, 1.0)
 
 
 def unit_coefficients(m: int, l: int = 0) -> EdgeCoefficients:

@@ -20,6 +20,9 @@ from . import initial as initial_mod
 from .errors import ParseError, ValidationError
 from .graph import MetricGraph
 
+# libyaml's parser when PyYAML was built with it: the same documents, ~5x faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 BC_KINDS = ("standard", "delta", "nonlocal_matrices", "matrix_mixed",
             "generalized_node", "boundary_matrices", "boundary_spaces",
             "nonlocal_interval")
@@ -352,7 +355,7 @@ def _parse_sim(section, path="sim") -> SimConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML config into a RunConfig."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         line = getattr(getattr(exc, "problem_mark", None), "line", None)
         raise ParseError(line + 1 if line is not None else "?", str(exc))

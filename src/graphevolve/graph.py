@@ -126,13 +126,28 @@ def trace_stack(g: MetricGraph) -> np.ndarray:
     return np.vstack([inc.phi_e_minus.T, inc.phi_i_minus.T, inc.phi_i_plus.T])
 
 
+def endpoint_vertices(g: MetricGraph) -> np.ndarray:
+    """The vertex of each trace slot, in (f_e(0), f_i(0), f_i(1)) order."""
+    return np.array(list(g.external_edges) + [t for t, _ in g.internal_edges]
+                    + [h for _, h in g.internal_edges], dtype=np.intp)
+
+
+def vertex_slots(g: MetricGraph) -> tuple[np.ndarray, ...]:
+    """Trace slots of each non-isolated vertex, in vertex order, each ascending."""
+    ends = endpoint_vertices(g)
+    order = np.argsort(ends, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(ends, minlength=g.n))[:-1])
+    return tuple(s for s in groups if s.size)
+
+
 def continuity_space(g: MetricGraph) -> np.ndarray:
     """Basis of the traces of functions continuous across every vertex.
 
-    Columns of the stacked incidence transposes have disjoint supports
-    (one column per vertex), so the non-zero columns already form a basis;
-    its rank equals the number of non-isolated vertices.
+    Column j is the indicator of the trace slots of the j-th non-isolated
+    vertex (``vertex_slots``).  The columns have disjoint supports, so they
+    form a basis; its rank equals the number of non-isolated vertices.
     """
-    stack = trace_stack(g)
-    keep = [v for v in range(g.n) if stack[:, v].any()]
-    return stack[:, keep].astype(complex)
+    slots = vertex_slots(g)
+    basis = np.zeros((g.trace_dim, len(slots)), dtype=complex)
+    basis[np.concatenate(slots), np.repeat(np.arange(len(slots)), [s.size for s in slots])] = 1.0
+    return basis

@@ -6,9 +6,10 @@ Boundary conditions enter as rows of the implicit system:
 * matrices form -- value rows on trace nodes, derivative rows via
   second-order one-sided stencils, U-terms on trace nodes;
 * spaces form built from continuity (standard / delta / nonlocal-matrices
-  couplings) -- continuity rows plus conservative half-cell vertex balance
-  rows, which conserve discrete mass exactly for edgewise-constant lambda
-  under pure Kirchhoff coupling;
+  couplings, the builders that set a vertex partition) -- continuity rows
+  plus conservative half-cell vertex balance rows, which conserve discrete
+  mass exactly for edgewise-constant lambda under pure Kirchhoff coupling;
+  any other spaces form is converted to the matrices form;
 * nonlocal interval kernels -- quadrature rows tying each endpoint value to a
   weighted integral of the whole profile;
 * external edges -- truncated with a homogeneous far-end row.
@@ -32,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 from .bc import BoundaryMatricesBC, BoundarySpacesBC, _mu_scaling, to_boundary_matrices
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, SingularSystemError
-from .graph import MetricGraph, continuity_space, trace_stack
+from .graph import MetricGraph, trace_stack
 from .initial import InitialData
 from .timeloop import run
 from .wellposed import require_well_posed
@@ -162,30 +163,6 @@ def factorize(a: scipy.sparse.csc_array) -> tuple[SparseFactor, float]:
     return SparseFactor(lu), cond
 
 
-def _endpoint_speeds(bc: BoundarySpacesBC) -> np.ndarray:
-    """Diagonal of C^-1 = diag(mu_e(0), mu_i(0), mu_i(1)); unit speeds if unset."""
-    if bc.mu_endpoints is None:
-        return np.ones(bc.trace_dim)
-    return _mu_scaling(bc.mu_endpoints)
-
-
-def _is_continuity_form(bc: BoundarySpacesBC, g: MetricGraph) -> bool:
-    """Y1 is the continuity space and span(Y0) = span(C * Y1-perp).
-
-    C is the endpoint scaling of `from_standard`.  Y0 has full column rank, so
-    the spans agree iff the dimensions add up and Y1^H C^-1 Y0 = 0.
-    """
-    ref = continuity_space(g)
-    if bc.y1_basis.shape != ref.shape or not np.array_equal(bc.y1_basis, ref):
-        return False
-    dim = bc.trace_dim
-    if bc.d0 + bc.d1 != dim:
-        return False
-    y0 = _endpoint_speeds(bc)[:, None] * bc.y0_basis  # C^-1 Y0
-    coupling = np.linalg.norm(ref.conj().T @ y0)
-    return bool(coupling <= 100 * dim * np.finfo(float).eps * np.linalg.norm(y0))
-
-
 def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
               dt: float, theta: float = 0.5, n_per_edge: int = 100,
               external_lengths=()) -> HeatState:
@@ -213,10 +190,11 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
             raise DimensionMismatchError(
                 "nonlocal interval kernels require a single internal edge"
             )
+    elif bc.partition is not None:  # set by the continuity builders only
+        mode = "continuity"
     else:
-        mode = "continuity" if _is_continuity_form(bc, g) else "matrices"
-        if mode == "matrices":
-            bc = to_boundary_matrices(bc, g.l, g.m)
+        mode = "matrices"
+        bc = to_boundary_matrices(bc, g.l, g.m)
 
     # grids, per-edge coefficients, initial values
     external, internal, offsets = [], [], []
@@ -333,11 +311,11 @@ def _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
             row += 1
 
     # zeroth-order source per vertex: flux sums equal src_rows @ trace values
-    dim = g.trace_dim
     if bc.local_U is not None:
-        src = trace_stack(g).T @ (_endpoint_speeds(bc)[:, None] * bc.local_U)  # n x dim
+        src = trace_stack(g).T @ (_mu_scaling(bc.mu_endpoints)[:, None] * bc.local_U)  # n x dim
     else:
-        src = np.zeros((g.n, dim), dtype=complex)
+        src = np.zeros((g.n, g.trace_dim), dtype=complex)
+    trace_nodes = np.asarray(trace_nodes)
 
     for v in sorted(by_vertex):
         for (_, slot, tr, adj, h, lam_half) in by_vertex[v]:
@@ -347,10 +325,9 @@ def _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
             a.add(row, adj, -theta * flux)
             b.add(row, tr, cap - (1.0 - theta) * flux)
             b.add(row, adj, (1.0 - theta) * flux)
-        for slot in range(dim):
-            if src[v, slot] != 0.0:
-                a.add(row, trace_nodes[slot], -theta * src[v, slot])
-                b.add(row, trace_nodes[slot], (1.0 - theta) * src[v, slot])
+        nonzero = np.flatnonzero(src[v])
+        a.add(row, trace_nodes[nonzero], -theta * src[v, nonzero])
+        b.add(row, trace_nodes[nonzero], (1.0 - theta) * src[v, nonzero])
         row += 1
     return row
 

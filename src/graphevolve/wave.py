@@ -286,19 +286,39 @@ def wave_step(state: WaveState) -> None:
     state.t = state.step_count * dt
 
 
+def _trapezoid(state: WaveState, fields) -> np.ndarray:
+    """Per-edge trapezoid sums, at unit spacing, of a sum of ring fields.
+
+    ``fields`` holds (values, shift) pairs: node i of `values` sits at ring
+    slot (i + shift) % size.  A ring holds every node of its edge once, so
+    the trapezoid sum is the ring total minus half of the two end nodes.
+    """
+    total = ends = 0.0
+    for values, shift in fields:
+        total = total + np.add.reduceat(values, state.start)
+        ends = ends + (values[state.start + shift % state.size]
+                       + values[state.start + (shift - 1) % state.size])
+    return total - 0.5 * ends
+
+
+def _spacings(state: WaveState) -> np.ndarray:
+    return np.array([s[1] - s[0] for s in state.grids])
+
+
 def energy(state: WaveState) -> float:
     """E = 1/2 sum_j int (|u_t|^2 + lambda |u_s|^2) = 1/4 sum int (|p|^2 + |q|^2)."""
-    total = 0.0
-    for e in state.edges():
-        total += 0.25 * np.trapezoid(np.abs(e.p) ** 2 + np.abs(e.q) ** 2, dx=e.h)
-    return float(total)
+    k = state.step_count
+    sums = _trapezoid(state, ((np.abs(state.p) ** 2, k), (np.abs(state.q) ** 2, -k)))
+    return float(0.25 * (_spacings(state) @ sums))
 
 
 def mass(state: WaveState) -> float:
-    total = 0.0
-    for e in state.edges():
-        total += np.trapezoid(e.u.real, dx=e.h)
-    return float(total)
+    k = state.step_count
+    if k == 0:
+        fields = ((state.u0.real, 0),)
+    else:  # u = F + G
+        fields = ((state.fwd.real, -k), (state.bwd.real, k))
+    return float(_spacings(state) @ _trapezoid(state, fields))
 
 
 def _snapshot(state: WaveState):

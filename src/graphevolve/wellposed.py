@@ -13,6 +13,13 @@ that fits the form of a boundary condition:
 
 "Nonzero determinant" is always decided through singular values after row
 equilibration; raw determinants are reported as evidence only.
+
+Both local criteria are computed per vertex block (``bc.vertex_blocks``).  The
+criterion matrix and the stacked basis are block-diagonal up to row and
+column permutations, and row equilibration is row-local, so their singular
+values are those of the blocks together and the determinant is the signed
+product of the block determinants.  A condition without a partition is one
+block, the whole matrix.
 """
 
 from __future__ import annotations
@@ -20,19 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+from scipy.sparse.linalg import splu
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC
+from .bc import (BoundaryMatricesBC, BoundarySpacesBC, _mu_scaling, matrix_blocks,
+                 space_blocks)
 from .coeffs import EdgeCoefficients
 from .errors import BadT0Error, DimensionMismatchError, NotWellPosedError, SingularUpdateError
 
 WELL_POSED = "WellPosed"
 NOT_WELL_POSED = "NotWellPosed"
 INCONCLUSIVE = "Inconclusive"
-
-# The right-hand side of every vertex solve is complex (u_rhs is), so
-# lu_solve would pick this routine for any factor dtype.
-_zgetrs, = scipy.linalg.get_lapack_funcs(("getrs",), (np.zeros(1, dtype=complex),))
 
 _INDEPENDENCE_NOTE = ("verdict independent of U-terms and B-operators: the criterion "
                       "holds for every admissible zeroth-order perturbation")
@@ -44,24 +49,25 @@ class VertexUpdate:
 
     Outgoing order: (q_e(0), p_i(1), q_i(0)); incoming: (p_e(0), q_i(1), p_i(0)).
     The update solves  m_out @ x = -(m_in @ y + u_rhs @ value_trace).
+    ``m_out`` (CSC) and ``m_in`` (CSR) hold one block per vertex; ``u_rhs``
+    (CSR) holds the zeroth-order terms and is empty without them; ``lu`` is
+    the SuperLU factor of ``m_out``.  Nothing here changes after
+    construction, so a deep copy shares it.
     """
 
-    m_out: np.ndarray
-    m_in: np.ndarray
-    lu: tuple
-    u_rhs: np.ndarray
+    m_out: scipy.sparse.csc_array
+    m_in: scipy.sparse.csr_array
+    lu: object
+    u_rhs: scipy.sparse.csr_array
 
     def solve(self, incoming: np.ndarray, value_trace: np.ndarray) -> np.ndarray:
-        """The same LAPACK solve as ``scipy.linalg.lu_solve``, without its per-call overhead."""
         rhs = -(self.m_in @ incoming + self.u_rhs @ value_trace)
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        if rhs.size == 0:
-            return rhs
-        x, info = _zgetrs(*self.lu, rhs, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
-        return x
+        return self.lu.solve(rhs)
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 @dataclass(frozen=True)
@@ -87,26 +93,52 @@ def _sigma_tol(dim: int) -> float:
 
 def _equilibrated_sigmas(m: np.ndarray) -> tuple[float, float]:
     """Smallest/largest singular values after scaling rows to unit inf-norm."""
-    scaled = m.copy()
-    for i in range(scaled.shape[0]):
-        peak = np.max(np.abs(scaled[i]))
-        if peak > 0:
-            scaled[i] /= peak
-    s = np.linalg.svd(scaled, compute_uv=False)
+    peak = np.abs(m).max(axis=1, initial=0.0)
+    peak[peak == 0.0] = 1.0
+    s = np.linalg.svd(m / peak[:, None], compute_uv=False)
     return float(s[-1]), float(s[0])
 
 
-def _criterion_matrix(bc: BoundaryMatricesBC,
-                      coeffs: EdgeCoefficients | None) -> np.ndarray:
-    """[[V0e, V1i, V0i], [Wb0e, Wb1i, Wb0i]] with speed-normalized W-blocks."""
+def _block_sigmas(blocks) -> tuple[float, float]:
+    """Smallest and largest equilibrated singular value over all the blocks."""
+    sigmas = [_equilibrated_sigmas(b) for b in blocks]
+    return min(lo for lo, _ in sigmas), max(hi for _, hi in sigmas)
+
+
+def _permutation_sign(p: np.ndarray) -> int:
+    """+1 for an even permutation of 0..n-1, -1 for an odd one."""
+    p = p.tolist()
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        length = 0
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        if length % 2 == 0 and length:
+            sign = -sign
+    return sign
+
+
+def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None):
+    """Vertex blocks of [[V0e, V1i, V0i], [Wb0e, Wb1i, Wb0i]] (W speed-normalized).
+
+    Yields (rows, cols, block): the rows and the ascending columns of the
+    block in the full criterion matrix, and the dense block.
+    """
     if coeffs is not None:
         coeffs.validate_against(bc.m, bc.l)
-        mu_e0, mu_i0, mu_i1 = coeffs.mu_endpoint_diagonals()
+        speeds = _mu_scaling(coeffs.mu_endpoint_diagonals())
     else:
-        mu_e0, mu_i0, mu_i1 = np.ones(bc.l), np.ones(bc.m), np.ones(bc.m)
-    top = np.hstack([bc.v0e, bc.v1i, bc.v0i])
-    bottom = np.hstack([bc.w0e / mu_e0, bc.w1i / mu_i1, bc.w0i / mu_i0])
-    return np.vstack([top, bottom])
+        speeds = np.ones(bc.trace_dim)
+    l, m = bc.l, bc.m
+    # criterion column of each trace slot: the f_i(1) columns come before f_i(0)
+    column = np.concatenate([np.arange(l), l + m + np.arange(m), l + np.arange(m)])
+    for slots, value, flux, v, w in matrix_blocks(bc):
+        order = np.argsort(column[slots])
+        block = np.vstack([v[:, order], w[:, order] / speeds[slots[order]]])
+        yield np.concatenate([value, bc.k0 + flux]), column[slots[order]], block
 
 
 def check_boundary_matrices(bc: BoundaryMatricesBC,
@@ -121,9 +153,11 @@ def check_boundary_matrices(bc: BoundaryMatricesBC,
     dim = bc.trace_dim
     if bc.k0 + bc.k1 != dim:
         raise DimensionMismatchError(f"k0 + k1 = {bc.k0 + bc.k1} must equal l + 2m = {dim}")
-    crit = _criterion_matrix(bc, coeffs)
-    det = complex(np.linalg.det(crit))
-    smin, smax = _equilibrated_sigmas(crit)
+    rows, cols, blocks = zip(*_criterion_blocks(bc, coeffs))
+    det = complex(np.prod([np.linalg.det(b) for b in blocks]))
+    if _permutation_sign(np.concatenate(rows)) != _permutation_sign(np.concatenate(cols)):
+        det = -det
+    smin, smax = _block_sigmas(blocks)
     tol = _sigma_tol(dim)
     well = smin > tol * smax
     return WellPosednessReport(
@@ -153,8 +187,7 @@ def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
             verdict=NOT_WELL_POSED, criterion="DirectSum", tol=tol, dims=dims,
             notes=(_INDEPENDENCE_NOTE, "d0 + d1 differs from the trace dimension"),
         )
-    joint = np.hstack([bc.y0_basis, bc.y1_basis])
-    smin, smax = _equilibrated_sigmas(joint)
+    smin, smax = _block_sigmas(np.hstack([y0, y1]) for _, y1, y0 in space_blocks(bc))
     well = smin > tol * smax
     return WellPosednessReport(
         verdict=WELL_POSED if well else NOT_WELL_POSED,
@@ -166,9 +199,12 @@ def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
 
 def vertex_update_matrix(bc: BoundaryMatricesBC,
                          coeffs: EdgeCoefficients | None = None) -> VertexUpdate:
-    """Outgoing/incoming characteristic coupling matrices with factorization.
+    """Outgoing/incoming characteristic coupling matrices with a SuperLU factor.
 
-    Raises SingularUpdateError exactly when the determinant criterion fails:
+    ``m_out`` and ``m_in`` are the criterion matrix with its rows halved
+    (flux rows negated in ``m_out``), one block per vertex, so ``m_out``
+    factors without fill between vertices.  Raises SingularUpdateError
+    exactly when the determinant criterion fails:
     det(m_out) = (1/2)^(l+2m) * (-1)^k1 * det(criterion matrix).
     """
     report = check_boundary_matrices(bc, coeffs)
@@ -176,17 +212,26 @@ def vertex_update_matrix(bc: BoundaryMatricesBC,
         raise SingularUpdateError(
             f"vertex update matrix is singular (sigma_min = {report.sigma_min:.3e})"
         )
-    crit = _criterion_matrix(bc, coeffs)
-    k0 = bc.k0
-    sign = np.ones(bc.trace_dim)
-    sign[k0:] = -1.0
-    m_out = 0.5 * (sign[:, None] * crit)
-    m_in = 0.5 * crit
-    u_rhs = np.vstack([
-        np.zeros((k0, bc.trace_dim), dtype=complex),
-        np.hstack([bc.u0e, bc.u0i, bc.u1i]),
-    ])
-    lu = scipy.linalg.lu_factor(m_out)
+    dim, k0 = bc.trace_dim, bc.k0
+    rows, cols, vals = zip(*((np.repeat(r, c.size), np.tile(c, r.size), b.ravel())
+                             for r, c, b in _criterion_blocks(bc, coeffs)))
+    rows, cols, half = np.concatenate(rows), np.concatenate(cols), 0.5 * np.concatenate(vals)
+    m_out = scipy.sparse.csc_array((np.where(rows < k0, half, -half), (rows, cols)),
+                                   shape=(dim, dim))
+    m_in = scipy.sparse.csr_array((half, (rows, cols)), shape=(dim, dim))
+    u_rows, u_cols, u_vals = [], [], []
+    for part, lo in ((bc.u0e, 0), (bc.u0i, bc.l), (bc.u1i, bc.l + bc.m)):
+        r, c = np.nonzero(part)
+        u_rows.append(k0 + r)
+        u_cols.append(lo + c)
+        u_vals.append(part[r, c])
+    u_rhs = scipy.sparse.csr_array(
+        (np.concatenate(u_vals), (np.concatenate(u_rows), np.concatenate(u_cols))),
+        shape=(dim, dim))
+    try:
+        lu = splu(m_out)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularUpdateError(f"vertex update matrix is singular ({exc})") from exc
     return VertexUpdate(m_out, m_in, lu, u_rhs)
 
 

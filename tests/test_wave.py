@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import graphevolve as ge
 from conftest import dirichlet_interval_bc, periodic_loop_bc, star3_bc
@@ -218,7 +217,7 @@ def reference_step(fields, n_external, update, dt):
     values = np.concatenate([[e["u"][0] for e in external], [e["u"][0] for e in internal],
                              [e["u"][-1] for e in internal]])
     rhs = -(update.m_in @ incoming + update.u_rhs @ values)
-    outgoing = scipy.linalg.lu_solve(update.lu, rhs)
+    outgoing = update.lu.solve(rhs)
     l, m = len(external), len(internal)
     for k, e in enumerate(external):
         e["q"][0] = outgoing[k]
@@ -236,11 +235,13 @@ def reference_step(fields, n_external, update, dt):
 
 
 def reference_diagnostics(fields):
-    e_total = m_total = 0.0
+    """Per-edge trapezoid energy and mass, and the mass of |u| as its scale."""
+    e_total = m_total = m_scale = 0.0
     for e in fields:
         e_total += 0.25 * np.trapezoid(np.abs(e["p"]) ** 2 + np.abs(e["q"]) ** 2, dx=e["h"])
         m_total += np.trapezoid(e["u"].real, dx=e["h"])
-    return float(e_total), float(m_total)
+        m_scale += np.trapezoid(np.abs(e["u"].real), dx=e["h"])
+    return float(e_total), float(m_total), float(m_scale)
 
 
 def ring_bytes(state):
@@ -267,7 +268,10 @@ def test_packed_rings_match_per_edge_reference(star):
         for e, ref in zip(st.edges(), fields):
             for key in ("u", "p", "q"):
                 assert getattr(e, key).tobytes() == ref[key].tobytes(), (step, key)
-        assert (energy(st), mass(st)) == reference_diagnostics(fields)
+        # the packed diagnostics sum each ring whole: the same trapezoid, rounded differently
+        e_ref, m_ref, m_scale = reference_diagnostics(fields)
+        assert abs(energy(st) - e_ref) <= 1e-12 * e_ref
+        assert abs(mass(st) - m_ref) <= 1e-12 * m_scale
     assert st.step_count > 4 * max(sizes)
     assert np.max(np.abs(st.internal[0].u)) > 1e-3  # the vertex coupling kept data alive
 
@@ -292,7 +296,7 @@ def test_boundary_spaces_and_matrices_step_identically(star):
         ge.wave_run(st, 1.0, record_stride=10)
     a, b = states
     assert ring_bytes(a) == ring_bytes(b)
-    assert np.array_equal(a.update.m_out, b.update.m_out)
+    assert np.array_equal(a.update.m_out.toarray(), b.update.m_out.toarray())
 
 
 def test_init_rejects_nonlocal_kernels(interval):
