@@ -2,14 +2,18 @@
 
 Two interchangeable representations are supported:
 
-* matrices form -- ``k0`` value rows (V-blocks) and ``k1`` derivative rows
-  (W-blocks plus optional zeroth-order U-blocks), ``k0 + k1 = l + 2m``;
+* matrices form -- three row matrices over the trace: ``k0`` value rows V,
+  and ``k1`` derivative rows W with their zeroth-order rows U,
+  ``k0 + k1 = l + 2m``;
 * spaces form -- the value trace must lie in a subspace ``Y1`` and the signed
   mu-weighted flux trace (plus optional zeroth-order terms) in a complementary
   subspace ``Y0``.
 
-Trace ordering is always ``(f_e(0), f_i(0), f_i(1))``; the flux trace carries
-``mu``-weighted *outward* derivatives, so the ``f_i(1)`` block has a minus sign.
+Everything indexed by trace slot is stored once, in trace order
+``(f_e(0), f_i(0), f_i(1))``: the columns of V, W, U, Y1, Y0 and local_U, and
+the endpoint speeds.  The flux trace carries ``mu``-weighted *outward*
+derivatives, so its ``f_i(1)`` part has a minus sign.  Only ``matrices_bc``
+takes the rows as nine per-kind blocks, external/tail/head for each of V, W, U.
 
 Local vertex conditions couple only the edge ends at one vertex.  The
 builders that know this (``from_standard``, ``from_delta``,
@@ -18,7 +22,7 @@ slots of each vertex and the Y1/Y0 columns supported on them, which
 ``to_boundary_matrices`` carries over to value/flux rows.  Rank tests,
 annihilators and the well-posedness checks then work on one deg(v)-sized
 block per vertex.  A condition without a partition is one block over all
-slots.  Only zeroth-order terms (``local_U``, the U-blocks) may couple
+slots.  Only zeroth-order terms (``local_U``, the U rows) may couple
 different vertices.
 """
 
@@ -64,18 +68,17 @@ class TraceVector:
 def make_trace(values_e0, values_i0, values_i1,
                derivs_e0, derivs_i0, derivs_i1,
                mu_endpoints=None) -> TraceVector:
-    """Assemble a TraceVector from endpoint values and raw derivatives."""
-    ve, vi0, vi1 = (np.atleast_1d(np.asarray(x, dtype=complex))
-                    for x in (values_e0, values_i0, values_i1))
-    de, di0, di1 = (np.atleast_1d(np.asarray(x, dtype=complex))
-                    for x in (derivs_e0, derivs_i0, derivs_i1))
-    if mu_endpoints is None:
-        mu_e0, mu_i0, mu_i1 = np.ones(ve.size), np.ones(vi0.size), np.ones(vi1.size)
-    else:
-        mu_e0, mu_i0, mu_i1 = mu_endpoints
+    """Assemble a TraceVector from endpoint values and raw derivatives.
+
+    mu_endpoints is the trace-ordered speed vector (unit speeds if None).
+    """
+    ve, vi0, vi1, de, di0, di1 = (np.atleast_1d(np.asarray(x, dtype=complex))
+                                  for x in (values_e0, values_i0, values_i1,
+                                            derivs_e0, derivs_i0, derivs_i1))
     value = np.concatenate([ve, vi0, vi1])
-    flux = np.concatenate([mu_e0 * de, mu_i0 * di0, -np.asarray(mu_i1) * di1])
-    return TraceVector(value, flux)
+    outward = np.concatenate([de, di0, -di1])
+    speeds = np.ones(value.size) if mu_endpoints is None else np.asarray(mu_endpoints)
+    return TraceVector(value, speeds * outward)
 
 
 @dataclass(frozen=True)
@@ -142,85 +145,71 @@ def _check_support(a: np.ndarray, row_owner: np.ndarray, col_owner: np.ndarray,
 class BoundaryMatricesBC:
     """k0 value conditions and k1 derivative conditions in matrix form.
 
-    Value rows:  V0e f_e(0) + V0i f_i(0) + V1i f_i(1) = 0.
-    Flux rows:   W0e f_e'(0) + W0i f_i'(0) - W1i f_i'(1)
-                 + U0e f_e(0) + U0i f_i(0) + U1i f_i(1) = 0.
+    Each row matrix has one column per trace slot, l + 2m in trace order;
+    m is the number of internal edges.
+
+    Value rows:  v_rows @ (f_e(0), f_i(0), f_i(1)) = 0.
+    Flux rows:   w_rows @ (f_e'(0), f_i'(0), -f_i'(1))
+                 + u_rows @ (f_e(0), f_i(0), f_i(1)) = 0.
     """
 
-    v0e: np.ndarray
-    v0i: np.ndarray
-    v1i: np.ndarray
-    w0e: np.ndarray
-    w0i: np.ndarray
-    w1i: np.ndarray
-    u0e: np.ndarray
-    u0i: np.ndarray
-    u1i: np.ndarray
+    v_rows: np.ndarray
+    w_rows: np.ndarray
+    u_rows: np.ndarray
+    m: int
     partition: VertexPartition | None = None
 
     def __post_init__(self):
-        for name in ("v0e", "v0i", "v1i", "w0e", "w0i", "w1i", "u0e", "u0i", "u1i"):
+        for name in ("v_rows", "w_rows", "u_rows"):
             object.__setattr__(self, name,
                                np.atleast_2d(np.asarray(getattr(self, name), dtype=complex)))
-        k0 = self.v0e.shape[0]
-        k1 = self.w0e.shape[0]
-        l = self.v0e.shape[1]
-        m = self.v0i.shape[1]
-        for name, rows, cols in (("v0i", k0, m), ("v1i", k0, m),
-                                 ("w0e", k1, l), ("w0i", k1, m), ("w1i", k1, m),
-                                 ("u0e", k1, l), ("u0i", k1, m), ("u1i", k1, m)):
-            if getattr(self, name).shape != (rows, cols):
-                raise DimensionMismatchError(
-                    f"{name} has shape {getattr(self, name).shape}, expected {(rows, cols)}"
-                )
+        dim = self.trace_dim
+        if not 0 <= 2 * self.m <= dim:
+            raise DimensionMismatchError(f"m = {self.m} does not fit trace dim {dim}")
+        if self.w_rows.shape[1] != dim or self.u_rows.shape != self.w_rows.shape:
+            raise DimensionMismatchError(f"w_rows {self.w_rows.shape} and u_rows "
+                                         f"{self.u_rows.shape} must both be k1 x {dim}")
         if self.partition is not None:
-            slot_of, value_of, flux_of = self.partition.owners(l + 2 * m, k0, k1)
-            for rows, owner in (((self.v0e, self.v0i, self.v1i), value_of),
-                                ((self.w0e, self.w0i, self.w1i), flux_of)):
-                for part, lo in zip(rows, (0, l, l + m)):
-                    _check_support(part, owner, slot_of[lo:lo + part.shape[1]],
-                                   "a value or flux row")
+            slot_of, value_of, flux_of = self.partition.owners(dim, self.k0, self.k1)
+            _check_support(self.v_rows, value_of, slot_of, "v_rows")
+            _check_support(self.w_rows, flux_of, slot_of, "w_rows")
 
     @property
     def k0(self) -> int:
-        return self.v0e.shape[0]
+        return self.v_rows.shape[0]
 
     @property
     def k1(self) -> int:
-        return self.w0e.shape[0]
+        return self.w_rows.shape[0]
 
     @property
     def l(self) -> int:
-        return self.v0e.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.v0i.shape[1]
+        return self.trace_dim - 2 * self.m
 
     @property
     def trace_dim(self) -> int:
-        return self.l + 2 * self.m
+        return self.v_rows.shape[1]
 
 
 def matrices_bc(*, l: int, m: int, k0: int, k1: int,
                 v0e=None, v0i=None, v1i=None,
                 w0e=None, w0i=None, w1i=None,
                 u0e=None, u0i=None, u1i=None) -> BoundaryMatricesBC:
-    """Convenience constructor filling unspecified blocks with zeros."""
+    """Build the row matrices from per-kind blocks; unspecified blocks are zero.
+
+    The ``*0e`` blocks fill trace columns [0, l), ``*0i`` [l, l + m) and
+    ``*1i`` [l + m, l + 2m).
+    """
     if k0 + k1 != l + 2 * m:
         raise DimensionMismatchError(f"k0 + k1 = {k0 + k1} must equal l + 2m = {l + 2 * m}")
 
-    def blk(x, rows, cols):
-        if x is None:
-            return np.zeros((rows, cols), dtype=complex)
-        x = np.asarray(x, dtype=complex).reshape(rows, cols)
-        return x
+    def rows(blocks, k):
+        return np.hstack([np.zeros((k, c), dtype=complex) if x is None
+                          else np.asarray(x, dtype=complex).reshape(k, c)
+                          for x, c in zip(blocks, (l, m, m))])
 
-    return BoundaryMatricesBC(
-        blk(v0e, k0, l), blk(v0i, k0, m), blk(v1i, k0, m),
-        blk(w0e, k1, l), blk(w0i, k1, m), blk(w1i, k1, m),
-        blk(u0e, k1, l), blk(u0i, k1, m), blk(u1i, k1, m),
-    )
+    return BoundaryMatricesBC(rows((v0e, v0i, v1i), k0), rows((w0e, w0i, w1i), k1),
+                              rows((u0e, u0i, u1i), k1), m)
 
 
 @dataclass(frozen=True)
@@ -233,8 +222,9 @@ class BoundarySpacesBC:
     nonlocal_kernels optionally carries per-edge sampled integral kernels
     contributing distributed terms; they never influence trace residuals here
     (they are consumed by the heat assembler).
-    mu_endpoints records the endpoint wave speeds (mu_e(0), mu_i(0), mu_i(1))
-    used to translate between flux and raw-derivative conventions.
+    mu_endpoints is the trace-ordered vector of endpoint wave speeds
+    (mu_e(0), mu_i(0), mu_i(1)), used to translate between flux and
+    raw-derivative conventions.
     partition, set only by the continuity builders (``from_standard``,
     ``from_delta``, ``from_nonlocal_matrices``), lists the vertex blocks:
     there Y1 is the continuity space and Y0 = C * Y1-perp block by block.
@@ -244,7 +234,7 @@ class BoundarySpacesBC:
     y0_basis: np.ndarray
     local_U: np.ndarray | None = None
     nonlocal_kernels: tuple | None = None
-    mu_endpoints: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    mu_endpoints: np.ndarray | None = None
     partition: VertexPartition | None = None
 
     def __post_init__(self):
@@ -301,29 +291,15 @@ def space_blocks(bc: BoundarySpacesBC):
         yield slots, bc.y1_basis[np.ix_(slots, value)], bc.y0_basis[np.ix_(slots, flux)]
 
 
-def _gather_blocks(parts, rows, slots) -> list[np.ndarray]:
-    """Blocks rows[b] x slots[b] of the trace-ordered matrix [e | i0 | i1]."""
-    r = np.concatenate([np.repeat(rb, sb.size) for rb, sb in zip(rows, slots)])
-    c = np.concatenate([np.tile(sb, rb.size) for rb, sb in zip(rows, slots)])
-    vals = np.empty(r.size, dtype=complex)
-    lo = 0
-    for part in parts:
-        inside = (c >= lo) & (c < lo + part.shape[1])
-        vals[inside] = part[r[inside], c[inside] - lo]
-        lo += part.shape[1]
-    ends = np.cumsum([rb.size * sb.size for rb, sb in zip(rows, slots)])[:-1]
-    return [x.reshape(rb.size, sb.size) for x, rb, sb in zip(np.split(vals, ends), rows, slots)]
-
-
 def matrix_blocks(bc: BoundaryMatricesBC):
     """(slots, value rows, flux rows, V block, W block) of each vertex block.
 
     The block columns follow `slots` (trace order); W is unscaled.
     """
     part = vertex_blocks(bc)
-    return zip(part.slots, part.value, part.flux,
-               _gather_blocks((bc.v0e, bc.v0i, bc.v1i), part.value, part.slots),
-               _gather_blocks((bc.w0e, bc.w0i, bc.w1i), part.flux, part.slots))
+    for slots, value, flux in zip(part.slots, part.value, part.flux):
+        yield (slots, value, flux, bc.v_rows[np.ix_(value, slots)],
+               bc.w_rows[np.ix_(flux, slots)])
 
 
 @dataclass(frozen=True)
@@ -358,12 +334,6 @@ def _annihilator_rows(basis: np.ndarray, dim: int) -> np.ndarray:
     return scipy.linalg.null_space(basis.T).T
 
 
-def _mu_scaling(bc_or_mu) -> np.ndarray:
-    """Diagonal of C^{-1} = diag(mu_e(0), mu_i(0), mu_i(1)) as one vector."""
-    mu_e0, mu_i0, mu_i1 = bc_or_mu
-    return np.concatenate([np.atleast_1d(mu_e0), np.atleast_1d(mu_i0), np.atleast_1d(mu_i1)])
-
-
 def from_standard(g: MetricGraph, coeffs: EdgeCoefficients) -> BoundarySpacesBC:
     """Continuity across vertices plus Kirchhoff flux balance.
 
@@ -374,8 +344,7 @@ def from_standard(g: MetricGraph, coeffs: EdgeCoefficients) -> BoundarySpacesBC:
     d - 1 Y0 columns of an orthonormal basis of (1, ..., 1)-perp in C^d.
     """
     coeffs.validate_against(g.m, g.l)
-    mu_ends = coeffs.mu_endpoint_diagonals()
-    speeds = _mu_scaling(mu_ends)
+    speeds = coeffs.mu_endpoint_diagonals()
     slots = vertex_slots(g)
     y0 = np.zeros((g.trace_dim, g.trace_dim - len(slots)), dtype=complex)
     perps: dict[int, np.ndarray] = {}  # one orthonormal (1, ..., 1)-perp per degree
@@ -389,7 +358,7 @@ def from_standard(g: MetricGraph, coeffs: EdgeCoefficients) -> BoundarySpacesBC:
         col += d - 1
     partition = VertexPartition(slots, tuple(np.array([b]) for b in range(len(slots))),
                                 tuple(flux))
-    return BoundarySpacesBC(continuity_space(g), y0, mu_endpoints=mu_ends, partition=partition)
+    return BoundarySpacesBC(continuity_space(g), y0, mu_endpoints=speeds, partition=partition)
 
 
 def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,
@@ -415,7 +384,7 @@ def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,
     weights[nz] = delta.alpha[nz] / deg[nz]
     dtilde = weights[ends]
     base = from_standard(g, coeffs)
-    local_u = np.diag(-dtilde / _mu_scaling(base.mu_endpoints))
+    local_u = np.diag(-dtilde / base.mu_endpoints)
     return dataclasses.replace(base, local_U=local_u)
 
 
@@ -434,7 +403,7 @@ def from_nonlocal_matrices(g: MetricGraph, coeffs: EdgeCoefficients,
     m_ip = np.asarray(m_i_plus, dtype=complex).reshape(g.m, g.m)
     base = from_standard(g, coeffs)
     block = scipy.linalg.block_diag(m_e, m_im, m_ip) if g.trace_dim else np.zeros((0, 0))
-    local_u = -block.astype(complex) / _mu_scaling(base.mu_endpoints)[:, None]
+    local_u = -block.astype(complex) / base.mu_endpoints[:, None]
     return dataclasses.replace(base, local_U=local_u)
 
 
@@ -450,10 +419,9 @@ def from_matrix_mixed(g: MetricGraph, k_matrix: np.ndarray) -> BoundarySpacesBC:
     k_matrix = np.asarray(k_matrix, dtype=complex).reshape(2 * m, 2 * m)
     sign = np.diag(np.concatenate([np.ones(m), -np.ones(m)])).astype(complex)
     local_u = -sign @ k_matrix
-    mu_ends = (np.ones(0), np.ones(m), np.ones(m))
     return BoundarySpacesBC(np.eye(2 * m, dtype=complex),
                             np.zeros((2 * m, 0), dtype=complex),
-                            local_U=local_u, mu_endpoints=mu_ends)
+                            local_U=local_u, mu_endpoints=np.ones(2 * m))
 
 
 def from_generalized_node(g: MetricGraph, y_basis: np.ndarray, w: np.ndarray,
@@ -476,12 +444,11 @@ def from_generalized_node(g: MetricGraph, y_basis: np.ndarray, w: np.ndarray,
     if _rank(y_basis) < d:
         raise RankDeficientBasisError("Y basis does not have full column rank")
     w = np.asarray(w, dtype=complex).reshape(d, d)
-    mu_ends = coeffs.mu_endpoint_diagonals()
+    speeds = coeffs.mu_endpoint_diagonals()
     perp = _hermitian_complement(y_basis, 2 * g.m)
-    scale = _mu_scaling(mu_ends)
-    y0 = perp / scale[:, None]
-    local_u = (y_basis @ w @ np.linalg.pinv(y_basis)) / scale[:, None]
-    return BoundarySpacesBC(y_basis, y0, local_U=local_u, mu_endpoints=mu_ends)
+    y0 = perp / speeds[:, None]
+    local_u = (y_basis @ w @ np.linalg.pinv(y_basis)) / speeds[:, None]
+    return BoundarySpacesBC(y_basis, y0, local_U=local_u, mu_endpoints=speeds)
 
 
 def from_nonlocal_interval(h0_samples, h1_samples) -> BoundarySpacesBC:
@@ -494,9 +461,8 @@ def from_nonlocal_interval(h0_samples, h1_samples) -> BoundarySpacesBC:
     h1 = np.asarray(h1_samples, dtype=complex).ravel()
     if h0.size < 2 or h1.size < 2:
         raise DimensionMismatchError("kernels need at least two samples")
-    mu_ends = (np.ones(0), np.ones(1), np.ones(1))
     return BoundarySpacesBC(np.eye(2, dtype=complex), np.zeros((2, 0), dtype=complex),
-                            nonlocal_kernels=(h0, h1), mu_endpoints=mu_ends)
+                            nonlocal_kernels=(h0, h1), mu_endpoints=np.ones(2))
 
 
 def _annihilators(bc: BoundarySpacesBC):
@@ -530,8 +496,8 @@ def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatric
     """Row form of the two membership conditions.
 
     k0 rows annihilate Y1 (value conditions); k1 rows annihilate Y0 applied to
-    the flux trace plus U-terms, unpacked into W/U blocks with the endpoint
-    speeds restoring the raw-derivative convention.  The rows are built per
+    the flux trace plus U-terms, with the endpoint speeds restoring the
+    raw-derivative convention in W.  The rows are built per
     vertex block, and a partitioned `bc` passes its partition on to them.
     """
     dim = bc.trace_dim
@@ -550,21 +516,9 @@ def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatric
         raise NotComplementaryError("Y0 and Y1 are not complementary (joint basis singular)")
 
     r_val, r_flux, u_rows, partition = _annihilators(bc)
-
-    mu_ends = bc.mu_endpoints
-    if mu_ends is None:
-        mu_ends = (np.ones(l), np.ones(m), np.ones(m))
-    mu_e0, mu_i0, mu_i1 = (np.atleast_1d(x) for x in mu_ends)
-
-    sl = slice(0, l)
-    si0 = slice(l, l + m)
-    si1 = slice(l + m, l + 2 * m)
-    return BoundaryMatricesBC(
-        r_val[:, sl], r_val[:, si0], r_val[:, si1],
-        r_flux[:, sl] * mu_e0, r_flux[:, si0] * mu_i0, r_flux[:, si1] * mu_i1,
-        u_rows[:, sl], u_rows[:, si0], u_rows[:, si1],
-        partition=None if bc.partition is None else partition,
-    )
+    speeds = np.ones(dim) if bc.mu_endpoints is None else bc.mu_endpoints
+    return BoundaryMatricesBC(r_val, r_flux * speeds, u_rows, m,
+                              partition=None if bc.partition is None else partition)
 
 
 def value_residual(bc, trace: TraceVector) -> np.ndarray:
@@ -573,7 +527,7 @@ def value_residual(bc, trace: TraceVector) -> np.ndarray:
     if v.size != bc.trace_dim:
         raise DimensionMismatchError("trace length does not match the conditions")
     if isinstance(bc, BoundaryMatricesBC):
-        return np.hstack([bc.v0e, bc.v0i, bc.v1i]) @ v
+        return bc.v_rows @ v
     return _annihilators(bc)[0] @ v
 
 
@@ -581,7 +535,7 @@ def flux_residual(bc, trace: TraceVector,
                   coeffs: EdgeCoefficients | None = None) -> np.ndarray:
     """Residual of the derivative conditions, including zeroth-order U-terms.
 
-    For the matrices form the stored W blocks multiply raw derivatives, so the
+    For the matrices form the stored W rows multiply raw derivatives, so the
     mu-weighted flux trace is rescaled by the endpoint speeds (unit speeds
     unless `coeffs` is given).
     """
@@ -589,12 +543,7 @@ def flux_residual(bc, trace: TraceVector,
     if v.size != bc.trace_dim:
         raise DimensionMismatchError("trace length does not match the conditions")
     if isinstance(bc, BoundaryMatricesBC):
-        if coeffs is not None:
-            mu_scale = _mu_scaling(coeffs.mu_endpoint_diagonals())
-        else:
-            mu_scale = np.ones(bc.trace_dim)
-        wbar = np.hstack([bc.w0e, bc.w0i, bc.w1i]) / mu_scale
-        u_rows = np.hstack([bc.u0e, bc.u0i, bc.u1i])
-        return wbar @ f + u_rows @ v
+        speeds = np.ones(bc.trace_dim) if coeffs is None else coeffs.mu_endpoint_diagonals()
+        return bc.w_rows / speeds @ f + bc.u_rows @ v
     _, r_flux, u_rows, _ = _annihilators(bc)
     return r_flux @ f + u_rows @ v

@@ -115,15 +115,13 @@ class EdgeCoefficients:
                 f"{len(self.external)} external edges, graph has {m} / {l}"
             )
 
-    def mu_endpoint_diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu_e(0), mu_i(0), mu_i(1)) as 1-d arrays in edge order.
+    def mu_endpoint_diagonals(self) -> np.ndarray:
+        """Endpoint speeds (mu_e(0), mu_i(0), mu_i(1)) as one trace-ordered vector.
 
         ``__post_init__`` checked every profile positive on its whole edge.
         """
-        def speeds(profiles, s):
-            return np.sqrt(np.array([p(s) for p in profiles], dtype=float))
-
-        return speeds(self.external, 0.0), speeds(self.internal, 0.0), speeds(self.internal, 1.0)
+        return np.sqrt(np.array([p(0.0) for p in self.external + self.internal]
+                                + [p(1.0) for p in self.internal], dtype=float))
 
 
 def unit_coefficients(m: int, l: int = 0) -> EdgeCoefficients:

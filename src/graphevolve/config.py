@@ -17,7 +17,7 @@ import yaml
 from . import bc as bc_mod
 from . import coeffs as coeffs_mod
 from . import initial as initial_mod
-from .errors import ParseError, ValidationError
+from .errors import NonPositiveCoefficientError, ParseError, ValidationError
 from .graph import MetricGraph
 
 # libyaml's parser when PyYAML was built with it: the same documents, ~5x faster
@@ -70,6 +70,37 @@ def _number(value, path) -> float:
     return float(value)
 
 
+def _positive(value, path) -> float:
+    """A finite number > 0."""
+    value = _number(value, path)
+    if not (math.isfinite(value) and value > 0.0):
+        _fail(path, f"expected a finite number > 0, got {value!r}")
+    return value
+
+
+def _count(value, path, least) -> int:
+    """A whole number >= least."""
+    value = _number(value, path)
+    if not value.is_integer() or value < least:
+        _fail(path, f"expected an integer >= {least}, got {value:g}")
+    return int(value)
+
+
+def _list(value, path) -> list:
+    if not isinstance(value, list):
+        _fail(path, f"expected a list, got {value!r}")
+    return value
+
+
+def _map(value, path) -> dict:
+    """An optional map: None reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        _fail(path, f"expected a map, got {value!r}")
+    return value
+
+
 def _scalar(value, path) -> complex:
     """A real number or a string accepted by complex()."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -116,19 +147,21 @@ def _parse_graph(section, path="graph"):
         _fail(p, f"cannot resolve vertex reference {ref!r}")
 
     internal = []
-    for i, pair in enumerate(section.get("internal_edges", []) or []):
+    for i, pair in enumerate(_list(section.get("internal_edges") or [],
+                                   f"{path}.internal_edges")):
         p = f"{path}.internal_edges[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
             _fail(p, "expected a [tail, head] pair")
         internal.append((resolve(pair[0], p), resolve(pair[1], p)))
 
     anchors, lengths = [], []
-    for i, entry in enumerate(section.get("external_edges", []) or []):
+    for i, entry in enumerate(_list(section.get("external_edges") or [],
+                                    f"{path}.external_edges")):
         p = f"{path}.external_edges[{i}]"
         if not isinstance(entry, dict):
             _fail(p, "expected a map with vertex and length")
         anchors.append(resolve(_require(entry, "vertex", p), f"{p}.vertex"))
-        lengths.append(_number(entry.get("length", 1.0), f"{p}.length"))
+        lengths.append(_positive(entry.get("length", 1.0), f"{p}.length"))
 
     try:
         g = MetricGraph(len(names), internal, anchors)
@@ -146,9 +179,7 @@ def _parse_profile(entry, path) -> coeffs_mod.CoefficientProfile:
             _number(_require(entry, "alpha", path), f"{path}.alpha"),
             _number(_require(entry, "beta", path), f"{path}.beta"))
     if kind == "sampled":
-        values = _require(entry, "values", path)
-        if not isinstance(values, list):
-            _fail(f"{path}.values", "expected a list of samples")
+        values = _list(_require(entry, "values", path), f"{path}.values")
         return coeffs_mod.sampled([_number(v, f"{path}.values") for v in values],
                                   _number(entry.get("domain_length", 1.0),
                                           f"{path}.domain_length"))
@@ -156,8 +187,7 @@ def _parse_profile(entry, path) -> coeffs_mod.CoefficientProfile:
 
 
 def _parse_coeffs(section, g, lengths, path="coefficients"):
-    if section is None:
-        section = {}
+    section = _map(section, path)
     eps = _number(section.get("epsilon", 1e-8), f"{path}.epsilon")
 
     def profiles(key, count, default_len):
@@ -168,9 +198,13 @@ def _parse_coeffs(section, g, lengths, path="coefficients"):
             _fail(f"{path}.{key}", f"expected {count} profile entries")
         out = []
         for i, e in enumerate(entries):
-            prof = _parse_profile(e, f"{path}.{key}[{i}]")
+            p = f"{path}.{key}[{i}]"
+            try:
+                prof = _parse_profile(e, p)
+            except NonPositiveCoefficientError as exc:  # e.g. too few samples
+                _fail(p, str(exc))
             if prof.kind == "sampled" and default_len[i] != prof.domain_length:
-                _fail(f"{path}.{key}[{i}]", "sampled domain_length must match the edge")
+                _fail(p, "sampled domain_length must match the edge")
             out.append(prof)
         return tuple(out)
 
@@ -229,8 +263,8 @@ def _parse_bc(section, g, coeffs, index, path="bc"):
             w = _matrix(section.get("w", [[0] * d for _ in range(d)]), d, d, f"{path}.w")
             built = bc_mod.from_generalized_node(g, y_basis, w, coeffs)
         elif kind == "boundary_matrices":
-            k0 = int(_number(_require(section, "k0", path), f"{path}.k0"))
-            k1 = int(_number(_require(section, "k1", path), f"{path}.k1"))
+            k0 = _count(_require(section, "k0", path), f"{path}.k0", 0)
+            k1 = _count(_require(section, "k1", path), f"{path}.k1", 0)
             blocks = {}
             shapes = {"v0e": (k0, l), "v0i": (k0, m), "v1i": (k0, m),
                       "w0e": (k1, l), "w0i": (k1, m), "w1i": (k1, m),
@@ -259,6 +293,8 @@ def _parse_bc(section, g, coeffs, index, path="bc"):
             h0 = _kernel_samples(_require(section, "h0", path), f"{path}.h0")
             h1 = _kernel_samples(_require(section, "h1", path), f"{path}.h1")
             t0 = _number(section.get("t0", 0.25), f"{path}.t0")
+            if not 0.0 < t0 <= 1.0:
+                _fail(f"{path}.t0", f"must lie in (0, 1], got {t0!r}")
             built = bc_mod.from_nonlocal_interval(h0, h1)
     except ValidationError:
         raise
@@ -275,23 +311,22 @@ def _parse_field(entry, length, path) -> initial_mod.FieldProfile:
         return initial_mod.zero_profile(length)
     if kind == "sine_mode":
         return initial_mod.sine_mode(
-            int(_number(entry.get("mode", 1), f"{path}.mode")),
+            _count(entry.get("mode", 1), f"{path}.mode", 1),
             _number(entry.get("amplitude", 1.0), f"{path}.amplitude"), length)
     if kind == "gaussian":
         return initial_mod.gaussian(
             _number(_require(entry, "center", path), f"{path}.center"),
-            _number(_require(entry, "width", path), f"{path}.width"),
+            _positive(_require(entry, "width", path), f"{path}.width"),
             _number(entry.get("amplitude", 1.0), f"{path}.amplitude"), length)
     if kind == "custom_samples":
-        values = _require(entry, "values", path)
+        values = _list(_require(entry, "values", path), f"{path}.values")
         return initial_mod.custom_samples(
             [_number(v, f"{path}.values") for v in values], length)
     _fail(f"{path}.kind", f"unknown initial kind {kind!r}")
 
 
 def _parse_initial(section, g, lengths, path="initial"):
-    if section is None:
-        section = {}
+    section = _map(section, path)
 
     def edge_entries(key, count, domain):
         entries = section.get(key)
@@ -302,10 +337,13 @@ def _parse_initial(section, g, lengths, path="initial"):
         out = []
         for i, e in enumerate(entries):
             p = f"{path}.{key}[{i}]"
-            e = e or {}
-            out.append(initial_mod.EdgeInitial(
-                _parse_field(e.get("u0"), domain[i], f"{p}.u0"),
-                _parse_field(e.get("u1"), domain[i], f"{p}.u1")))
+            e = _map(e, p)
+            try:
+                out.append(initial_mod.EdgeInitial(
+                    _parse_field(e.get("u0"), domain[i], f"{p}.u0"),
+                    _parse_field(e.get("u1"), domain[i], f"{p}.u1")))
+            except ValueError as exc:  # profile invariants, e.g. too few samples
+                _fail(p, str(exc))
         return tuple(out)
 
     return initial_mod.InitialData(
@@ -318,23 +356,14 @@ def _parse_sim(section, path="sim") -> SimConfig:
     if eq not in ("wave", "heat"):
         _fail(f"{path}.equation", f"unknown equation {eq!r}")
 
-    def finite(key, default=None):
-        raw = _require(section, key, path) if default is None else section.get(key, default)
-        value = _number(raw, f"{path}.{key}")
+    def finite(key, default):
+        value = _number(section.get(key, default), f"{path}.{key}")
         if not math.isfinite(value):
             _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
         return value
 
-    def count(key, default, least):
-        value = finite(key, default)
-        if not value.is_integer() or value < least:
-            _fail(f"{path}.{key}", f"expected an integer >= {least}, got {value:g}")
-        return int(value)
-
-    T, dt = finite("T"), finite("dt")
-    for key, value in (("T", T), ("dt", dt)):
-        if value <= 0.0:
-            _fail(f"{path}.{key}", f"must be positive, got {value!r}")
+    T = _positive(_require(section, "T", path), f"{path}.T")
+    dt = _positive(_require(section, "dt", path), f"{path}.dt")
     steps = T / dt
     if not (math.isfinite(steps) and abs(round(steps) * dt - T) <= 1e-9 * max(1.0, T)):
         _fail(f"{path}.dt", f"T = {T!r} must be an integer multiple of dt = {dt!r}")
@@ -346,9 +375,9 @@ def _parse_sim(section, path="sim") -> SimConfig:
         _fail(f"{path}.snap_tol", f"must be non-negative, got {snap_tol!r}")
     return SimConfig(
         equation=eq, T=T, dt=dt, theta=theta,
-        n_per_edge=count("n_per_edge", 100, 4),
+        n_per_edge=_count(section.get("n_per_edge", 100), f"{path}.n_per_edge", 4),
         snap_tol=snap_tol,
-        record_stride=count("record_stride", 1, 1),
+        record_stride=_count(section.get("record_stride", 1), f"{path}.record_stride", 1),
     )
 
 

@@ -30,10 +30,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, _mu_scaling, to_boundary_matrices
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, SingularSystemError
-from .graph import MetricGraph, trace_stack
+from .graph import MetricGraph
 from .initial import InitialData
 from .timeloop import run
 from .wellposed import require_well_posed
@@ -240,9 +240,9 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         row += 1
 
     # trace node bookkeeping in (f_e(0), f_i(0), f_i(1)) order
-    trace_nodes = ([offsets[k] for k in range(g.l)]
-                   + [offsets[g.l + j] for j in range(g.m)]
-                   + [offsets[g.l + j] + internal[j].u.size - 1 for j in range(g.m)])
+    trace_nodes = np.array([offsets[k] for k in range(g.l)]
+                           + [offsets[g.l + j] for j in range(g.m)]
+                           + [offsets[g.l + j] + internal[j].u.size - 1 for j in range(g.m)])
 
     if mode == "nonlocal":
         row = _assemble_nonlocal_rows(a, row, internal[0], offsets[g.l], nonlocal_kernels)
@@ -250,7 +250,7 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         row = _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
                                     trace_nodes, dt, theta)
     else:
-        row = _assemble_matrix_rows(a, row, bc, edges, offsets, trace_nodes, g.l, g.m)
+        row = _assemble_matrix_rows(a, row, bc, edges, trace_nodes, g.l, g.m)
 
     if row != total:
         raise AssertionError(f"assembled {row} rows for {total} unknowns")
@@ -310,13 +310,6 @@ def _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
             a.add(row, nodes[0], -1.0)
             row += 1
 
-    # zeroth-order source per vertex: flux sums equal src_rows @ trace values
-    if bc.local_U is not None:
-        src = trace_stack(g).T @ (_mu_scaling(bc.mu_endpoints)[:, None] * bc.local_U)  # n x dim
-    else:
-        src = np.zeros((g.n, g.trace_dim), dtype=complex)
-    trace_nodes = np.asarray(trace_nodes)
-
     for v in sorted(by_vertex):
         for (_, slot, tr, adj, h, lam_half) in by_vertex[v]:
             cap = 0.5 * h / dt
@@ -325,53 +318,36 @@ def _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
             a.add(row, adj, -theta * flux)
             b.add(row, tr, cap - (1.0 - theta) * flux)
             b.add(row, adj, (1.0 - theta) * flux)
-        nonzero = np.flatnonzero(src[v])
-        a.add(row, trace_nodes[nonzero], -theta * src[v, nonzero])
-        b.add(row, trace_nodes[nonzero], (1.0 - theta) * src[v, nonzero])
+        if bc.local_U is not None:
+            # zeroth-order source: the flux sum at v equals src @ trace values
+            slots = sorted(info[1] for info in by_vertex[v])
+            src = bc.mu_endpoints[slots] @ bc.local_U[slots]
+            nonzero = np.flatnonzero(src)
+            a.add(row, trace_nodes[nonzero], -theta * src[nonzero])
+            b.add(row, trace_nodes[nonzero], (1.0 - theta) * src[nonzero])
         row += 1
     return row
 
 
-def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, edges, offsets,
-                          trace_nodes, l, m):
-    """Value rows and one-sided-stencil derivative rows of the matrices form."""
-    v_rows = np.hstack([bc.v0e, bc.v0i, bc.v1i])
-    for r in range(bc.k0):
-        for slot in range(l + 2 * m):
-            if v_rows[r, slot] != 0.0:
-                a.add(row, trace_nodes[slot], v_rows[r, slot])
-        row += 1
+def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, edges, trace_nodes, l, m):
+    """Value rows and one-sided-stencil derivative rows of the matrices form.
 
-    def stencil_start(off, h):
-        return ((off, -1.5 / h), (off + 1, 2.0 / h), (off + 2, -0.5 / h))
+    W multiplies outward derivatives, so each slot's second-order stencil runs
+    inward from its trace node: up the edge at f(0) slots, down it at f_i(1).
+    """
+    r, c = np.nonzero(bc.v_rows)
+    a.add(row + r, trace_nodes[c], bc.v_rows[r, c])
+    row += bc.k0
 
-    def stencil_end(off, n, h):
-        return ((off + n, 1.5 / h), (off + n - 1, -2.0 / h), (off + n - 2, 0.5 / h))
-
-    u_rows = np.hstack([bc.u0e, bc.u0i, bc.u1i])
-    for r in range(bc.k1):
-        for k in range(l):
-            coeff = bc.w0e[r, k]
-            if coeff != 0.0:
-                for node, wgt in stencil_start(offsets[k], edges[k].h):
-                    a.add(row, node, coeff * wgt)
-        for j in range(m):
-            e = edges[l + j]
-            off = offsets[l + j]
-            n = e.u.size - 1
-            c0 = bc.w0i[r, j]
-            if c0 != 0.0:
-                for node, wgt in stencil_start(off, e.h):
-                    a.add(row, node, c0 * wgt)
-            c1 = bc.w1i[r, j]
-            if c1 != 0.0:
-                for node, wgt in stencil_end(off, n, e.h):
-                    a.add(row, node, -c1 * wgt)
-        for slot in range(l + 2 * m):
-            if u_rows[r, slot] != 0.0:
-                a.add(row, trace_nodes[slot], u_rows[r, slot])
-        row += 1
-    return row
+    h = np.array([e.h for e in edges] + [e.h for e in edges[l:]])  # per trace slot
+    inward = np.where(np.arange(l + 2 * m) < l + m, 1, -1)
+    weights = np.array([-1.5, 2.0, -0.5])
+    r, c = np.nonzero(bc.w_rows)
+    a.add((row + r)[:, None], trace_nodes[c, None] + inward[c, None] * np.arange(3),
+          bc.w_rows[r, c, None] * (weights / h[c, None]))
+    r, c = np.nonzero(bc.u_rows)
+    a.add(row + r, trace_nodes[c], bc.u_rows[r, c])
+    return row + bc.k1
 
 
 def heat_step(state: HeatState) -> None:

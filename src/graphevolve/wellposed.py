@@ -3,9 +3,9 @@
 Three criteria are implemented, and ``require_well_posed`` picks the one
 that fits the form of a boundary condition:
 
-* Determinant -- invertibility of the block matrix
-  ``[[V0e, V1i, V0i], [Wb0e, Wb1i, Wb0i]]`` (W-blocks scaled by inverse
-  endpoint speeds) for the matrices form;
+* Determinant -- invertibility of the criterion matrix ``[V; W C]`` (W rows
+  scaled by the inverse endpoint speeds C) with its columns ordered
+  (f_e(0), f_i(1), f_i(0)), for the matrices form;
 * DirectSum -- ``dim Y0 + dim Y1 = l + 2m`` together with joint invertibility
   of the stacked bases for the spaces form;
 * NonlocalYoung -- an L1 kernel-norm certificate for the nonlocal interval
@@ -30,8 +30,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import splu
 
-from .bc import (BoundaryMatricesBC, BoundarySpacesBC, _mu_scaling, matrix_blocks,
-                 space_blocks)
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, matrix_blocks, space_blocks
 from .coeffs import EdgeCoefficients
 from .errors import BadT0Error, DimensionMismatchError, NotWellPosedError, SingularUpdateError
 
@@ -122,14 +121,14 @@ def _permutation_sign(p: np.ndarray) -> int:
 
 
 def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None):
-    """Vertex blocks of [[V0e, V1i, V0i], [Wb0e, Wb1i, Wb0i]] (W speed-normalized).
+    """Vertex blocks of the criterion matrix [V; W C], columns (f_e(0), f_i(1), f_i(0)).
 
     Yields (rows, cols, block): the rows and the ascending columns of the
     block in the full criterion matrix, and the dense block.
     """
     if coeffs is not None:
         coeffs.validate_against(bc.m, bc.l)
-        speeds = _mu_scaling(coeffs.mu_endpoint_diagonals())
+        speeds = coeffs.mu_endpoint_diagonals()
     else:
         speeds = np.ones(bc.trace_dim)
     l, m = bc.l, bc.m
@@ -147,7 +146,7 @@ def check_boundary_matrices(bc: BoundaryMatricesBC,
 
     Well-posed iff the speed-normalized block matrix is invertible, decided by
     sigma_min > tol * sigma_max after row equilibration; the raw determinant is
-    reported as evidence.  U-blocks never influence the verdict.  Nothing is
+    reported as evidence.  U rows never influence the verdict.  Nothing is
     factored here; ``vertex_update_matrix`` builds the update.
     """
     dim = bc.trace_dim
@@ -219,15 +218,8 @@ def vertex_update_matrix(bc: BoundaryMatricesBC,
     m_out = scipy.sparse.csc_array((np.where(rows < k0, half, -half), (rows, cols)),
                                    shape=(dim, dim))
     m_in = scipy.sparse.csr_array((half, (rows, cols)), shape=(dim, dim))
-    u_rows, u_cols, u_vals = [], [], []
-    for part, lo in ((bc.u0e, 0), (bc.u0i, bc.l), (bc.u1i, bc.l + bc.m)):
-        r, c = np.nonzero(part)
-        u_rows.append(k0 + r)
-        u_cols.append(lo + c)
-        u_vals.append(part[r, c])
-    u_rhs = scipy.sparse.csr_array(
-        (np.concatenate(u_vals), (np.concatenate(u_rows), np.concatenate(u_cols))),
-        shape=(dim, dim))
+    r, c = np.nonzero(bc.u_rows)
+    u_rhs = scipy.sparse.csr_array((bc.u_rows[r, c], (k0 + r, c)), shape=(dim, dim))
     try:
         lu = splu(m_out)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"

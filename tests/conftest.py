@@ -69,3 +69,20 @@ def random_coeffs(rng, g, lo=0.25, hi=4.0):
     internal = tuple(ge.constant(float(rng.uniform(lo, hi))) for _ in range(g.m))
     external = tuple(ge.constant(float(rng.uniform(lo, hi))) for _ in range(g.l))
     return ge.EdgeCoefficients(internal, external)
+
+
+BUILDERS = ("standard", "delta", "nonlocal_matrices")
+
+
+def local_condition(rng, g, coeffs, builder):
+    """A seeded local vertex condition from one of the partitioned BUILDERS."""
+    if builder == "standard":
+        return ge.from_standard(g, coeffs)
+    if builder == "delta":
+        degree = np.bincount(np.concatenate([np.ravel(g.internal_edges), g.external_edges])
+                             .astype(int), minlength=g.n)
+        alpha = np.where(degree > 0, rng.uniform(-2.0, 2.0, g.n), 0.0)
+        return ge.from_delta(g, coeffs, ge.DeltaCoupling(alpha))
+    return ge.from_nonlocal_matrices(g, coeffs, rng.uniform(-1.0, 1.0, (g.l, g.l)),
+                                     rng.uniform(-1.0, 1.0, (g.m, g.m)),
+                                     rng.uniform(-1.0, 1.0, (g.m, g.m)))

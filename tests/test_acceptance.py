@@ -107,13 +107,9 @@ def test_criterion_5_checker_update_equivalence():
                                    ("w0e", k1, l), ("w0i", k1, m), ("w1i", k1, m))}
             bc = ge.matrices_bc(l=l, m=m, k0=k0, k1=k1, **blocks)
             if rng.random() < 0.3 and dim >= 2:
-                rows = np.vstack([np.hstack([bc.v0e, bc.v0i, bc.v1i]),
-                                  np.hstack([bc.w0e, bc.w0i, bc.w1i])])
+                rows = np.vstack([bc.v_rows, bc.w_rows])
                 rows[-1] = rows[0]
-                bc = ge.matrices_bc(
-                    l=l, m=m, k0=k0, k1=k1,
-                    v0e=rows[:k0, :l], v0i=rows[:k0, l:l + m], v1i=rows[:k0, l + m:],
-                    w0e=rows[k0:, :l], w0i=rows[k0:, l:l + m], w1i=rows[k0:, l + m:])
+                bc = ge.BoundaryMatricesBC(rows[:k0], rows[k0:], bc.u_rows, m)
             verdict = ge.check_boundary_matrices(bc).well_posed
             try:
                 ge.vertex_update_matrix(bc)

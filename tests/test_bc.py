@@ -157,8 +157,39 @@ def test_to_boundary_matrices_periodic(loop):
     bm = ge.to_boundary_matrices(ge.from_standard(loop, coeffs), 0, 1)
     assert bm.k0 == 1 and bm.k1 == 1
     # value row proportional to (1, -1); flux row to (1, 1) in trace order
-    assert np.isclose(bm.v0i[0, 0], -bm.v1i[0, 0])
-    assert np.isclose(bm.w0i[0, 0], bm.w1i[0, 0])
+    assert np.isclose(bm.v_rows[0, 0], -bm.v_rows[0, 1])
+    assert np.isclose(bm.w_rows[0, 0], bm.w_rows[0, 1])
+
+
+@pytest.mark.parametrize("l, m", [(2, 3), (0, 2), (3, 0)], ids=["l2-m3", "l0", "m0"])
+def test_matrices_bc_places_blocks_at_trace_columns(l, m):
+    """*0e blocks fill trace columns [0, l), *0i [l, l+m) and *1i [l+m, l+2m)."""
+    dim = l + 2 * m
+    k0, k1 = dim // 2, dim - dim // 2
+    columns = {"0e": slice(0, l), "0i": slice(l, l + m), "1i": slice(l + m, dim)}
+    for kind, k, field in (("v", k0, "v_rows"), ("w", k1, "w_rows"), ("u", k1, "u_rows")):
+        for end, cols in columns.items():
+            width = cols.stop - cols.start
+            block = np.arange(1, k * width + 1).reshape(k, width)
+            bc = ge.matrices_bc(l=l, m=m, k0=k0, k1=k1, **{kind + end: block})
+            assert (bc.l, bc.m, bc.k0, bc.k1, bc.trace_dim) == (l, m, k0, k1, dim)
+            expected = np.zeros((k, dim))
+            expected[:, cols] = block
+            assert np.array_equal(getattr(bc, field), expected)
+            for other in ("v_rows", "w_rows", "u_rows"):
+                if other != field:
+                    assert not getattr(bc, other).any()
+
+
+def test_boundary_matrices_rejects_bad_shapes():
+    v, w = np.zeros((1, 3)), np.zeros((2, 3))
+    assert ge.BoundaryMatricesBC(v, w, w, 1).l == 1
+    with pytest.raises(ge.DimensionMismatchError, match="m = 2"):
+        ge.BoundaryMatricesBC(v, w, w, 2)  # 2m > trace dim
+    with pytest.raises(ge.DimensionMismatchError, match="u_rows"):
+        ge.BoundaryMatricesBC(v, w, np.zeros((1, 3)), 1)
+    with pytest.raises(ge.DimensionMismatchError, match="w_rows"):
+        ge.BoundaryMatricesBC(v, np.zeros((2, 4)), np.zeros((2, 4)), 1)
 
 
 def test_to_boundary_matrices_neumann(interval):

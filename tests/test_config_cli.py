@@ -36,7 +36,7 @@ def test_parse_nonlocal_fixture():
 def test_parse_complex_entries():
     text = (CONFIGS / "star3.cfg").read_text().replace("[0], [1]", '["1+2j"], [1]')
     cfg = parse_config(text)
-    assert cfg.bc.v0e[0, 0] == 1 + 2j
+    assert cfg.bc.v_rows[0, 0] == 1 + 2j  # v0e fills trace column 0
 
 
 def test_unknown_bc_kind_rejected():
@@ -266,3 +266,56 @@ def test_simulate_rejects_bad_sim_values(tmp_path, capsys, config, old, new, key
     assert run_cli("simulate", cfg, "--output-dir", tmp_path, "--quiet") == 1
     assert capsys.readouterr().err.startswith(f"error: sim.{key}: ")
     assert not (tmp_path / "solution.csv").exists()
+
+
+HEAT_WITH_LEAD = (
+    "graph:\n  vertices: [a, b]\n  internal_edges: [[a, b]]\n"
+    "  external_edges: [{vertex: a, length: 2.0}]\n"
+    "coefficients:\n  internal:\n    - {kind: constant, value: 1.0}\n"
+    "bc:\n  kind: standard\n"
+    "sim:\n  equation: heat\n  T: 0.01\n  dt: 0.001\n"
+    "initial:\n  internal:\n    - {u0: {kind: sine_mode, mode: 1}}\n")
+WAVE_WITH_LEAD = HEAT_WITH_LEAD.replace("equation: heat", "equation: wave")
+DIRICHLET_MATRICES = (
+    "graph:\n  vertices: [a, b]\n  internal_edges: [[a, b]]\n"
+    "bc:\n  kind: boundary_matrices\n  k0: 2\n  k1: 0\n"
+    "  v0i: [[1], [0]]\n  v1i: [[0], [1]]\n")
+U0 = "{u0: {kind: sine_mode, mode: 1}}"
+
+
+@pytest.mark.parametrize("base, old, new, path", [
+    (HEAT_WITH_LEAD, "coefficients:\n  internal:\n    - {kind: constant, value: 1.0}",
+     "coefficients: [1]", "coefficients"),
+    (HEAT_WITH_LEAD, "internal_edges: [[a, b]]", "internal_edges: 5", "graph.internal_edges"),
+    (HEAT_WITH_LEAD, "external_edges: [{vertex: a, length: 2.0}]", "external_edges: 5",
+     "graph.external_edges"),
+    (HEAT_WITH_LEAD, "initial:\n  internal:\n    - " + U0, "initial: [1]", "initial"),
+    (HEAT_WITH_LEAD, "- " + U0, "- 5", "initial.internal[0]"),
+    (HEAT_WITH_LEAD, U0, "{u0: {kind: custom_samples, values: 5}}",
+     "initial.internal[0].u0.values"),
+    (HEAT_WITH_LEAD, U0, "{u0: {kind: custom_samples, values: [1, 2, 3]}}",
+     "initial.internal[0]"),
+    (WAVE_WITH_LEAD, U0, "{u0: {kind: zero}, u1: {kind: sine_mode, mode: 0}}",
+     "initial.internal[0].u1.mode"),
+    (HEAT_WITH_LEAD, U0, "{u0: {kind: gaussian, center: 0.5, width: 0}}",
+     "initial.internal[0].u0.width"),
+    (HEAT_WITH_LEAD, "length: 2.0", "length: -1", "graph.external_edges[0].length"),
+    (HEAT_WITH_LEAD, "length: 2.0", "length: 0", "graph.external_edges[0].length"),
+    (DIRICHLET_MATRICES, "k0: 2", "k0: 2.5", "bc.k0"),
+    (HEAT_WITH_LEAD, "mode: 1}", "mode: 1.5}", "initial.internal[0].u0.mode"),
+    (HEAT_WITH_LEAD, "{kind: constant, value: 1.0}", "{kind: sampled, values: [1]}",
+     "coefficients.internal[0]"),
+    ((CONFIGS / "nonlocal-interval.cfg").read_text(), "t0: 0.25", "t0: 2", "bc.t0"),
+], ids=["coefficients-list", "internal-edges-int", "external-edges-int", "initial-list",
+        "initial-entry-int", "custom-samples-int", "custom-samples-short", "sine-mode-0",
+        "gaussian-width-0", "length-negative", "length-0", "k0-fraction", "mode-fraction",
+        "sampled-short", "t0-above-1"])
+def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, path):
+    """Bad input exits 1 with `error: <path>: ...`, never a traceback or a silent run."""
+    assert old in base
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(base.replace(old, new, 1))
+    command = "simulate" if "sim:" in base else "check"
+    assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet") == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 import scipy.sparse
 
 import graphevolve as ge
-from conftest import dirichlet_interval_bc, random_coeffs, random_graph
+from conftest import (BUILDERS, dirichlet_interval_bc, local_condition, random_coeffs,
+                      random_graph)
 from graphevolve import heat
 from graphevolve.config import parse_config
 from graphevolve.graph import continuity_space
@@ -280,6 +282,81 @@ def test_continuity_and_matrices_paths_converge_to_each_other():
         assert gaps[0] / gaps[1] >= 2.5, gaps
         assert gaps[1] / gaps[2] >= 3.0, gaps
         assert gaps[2] <= 1e-3, gaps
+
+
+def reference_matrix_rows(a, row, bc, edges, trace_nodes, l, m):
+    """The per-entry matrices-form assembly that one np.nonzero per row matrix
+    replaced, kept as an oracle: a Python loop over (row, slot)."""
+    for r in range(bc.k0):
+        for slot in range(l + 2 * m):
+            if bc.v_rows[r, slot] != 0.0:
+                a.add(row, trace_nodes[slot], bc.v_rows[r, slot])
+        row += 1
+
+    def stencil_start(off, h):
+        return ((off, -1.5 / h), (off + 1, 2.0 / h), (off + 2, -0.5 / h))
+
+    def stencil_end(off, n, h):
+        return ((off + n, 1.5 / h), (off + n - 1, -2.0 / h), (off + n - 2, 0.5 / h))
+
+    for r in range(bc.k1):
+        for k in range(l):
+            coeff = bc.w_rows[r, k]
+            if coeff != 0.0:
+                for node, wgt in stencil_start(trace_nodes[k], edges[k].h):
+                    a.add(row, node, coeff * wgt)
+        for j in range(m):
+            e = edges[l + j]
+            off = trace_nodes[l + j]
+            c0 = bc.w_rows[r, l + j]
+            if c0 != 0.0:
+                for node, wgt in stencil_start(off, e.h):
+                    a.add(row, node, c0 * wgt)
+            c1 = bc.w_rows[r, l + m + j]
+            if c1 != 0.0:
+                for node, wgt in stencil_end(off, e.u.size - 1, e.h):
+                    a.add(row, node, -c1 * wgt)
+        for slot in range(l + 2 * m):
+            if bc.u_rows[r, slot] != 0.0:
+                a.add(row, trace_nodes[slot], bc.u_rows[r, slot])
+        row += 1
+    return row
+
+
+@pytest.mark.parametrize("n_per_edge", [4, 9])
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_matrix_rows_match_per_entry_reference(monkeypatch, builder, n_per_edge):
+    """The vectorized matrices-form rows give the solutions of the per-entry loop.
+
+    Local conditions stripped of their partition take the matrices path; at
+    n = 4 the two end stencils of an internal edge share its middle node.
+    """
+    rng = np.random.default_rng({"standard": 1, "delta": 2, "nonlocal_matrices": 3}[builder])
+    cases = 0
+    while cases < 10:
+        g = random_graph(rng, max_n=6, max_m=6, max_l=3)
+        if g.l == 0:
+            continue
+        cases += 1
+        coeffs = random_coeffs(rng, g)
+        bc = dataclasses.replace(local_condition(rng, g, coeffs, builder), partition=None)
+        init = ge.InitialData(
+            tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(g.m)),
+            tuple(ge.EdgeInitial(ge.gaussian(0.3, 0.1, length=1.5)) for _ in range(g.l)))
+
+        def solution():
+            st = ge.heat_init(g, coeffs, bc, init, dt=1e-3, n_per_edge=n_per_edge,
+                              external_lengths=(1.5,) * g.l)
+            for _ in range(20):
+                ge.heat_step(st)
+            assert st.path == "matrices"
+            return st.vector()
+
+        got = solution()
+        with monkeypatch.context() as patch:
+            patch.setattr(heat, "_assemble_matrix_rows", reference_matrix_rows)
+            want = solution()
+        assert np.array_equal(got, want)
 
 
 def test_gate_refuses_exactly_singular_matrix():

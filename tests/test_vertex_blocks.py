@@ -13,13 +13,12 @@ import pytest
 import scipy.linalg
 
 import graphevolve as ge
-from conftest import random_coeffs, random_graph
-from graphevolve.bc import _mu_scaling
+from conftest import BUILDERS, local_condition, random_coeffs, random_graph
 
 
 def reference_spaces(bc):
     """`bc` with Y0 = C * Y1-perp from one global null_space and no partition."""
-    y0 = scipy.linalg.null_space(bc.y1_basis.conj().T) / _mu_scaling(bc.mu_endpoints)[:, None]
+    y0 = scipy.linalg.null_space(bc.y1_basis.conj().T) / bc.mu_endpoints[:, None]
     return ge.BoundarySpacesBC(bc.y1_basis, y0, local_U=bc.local_U,
                                mu_endpoints=bc.mu_endpoints)
 
@@ -29,10 +28,7 @@ def reference_to_matrices(bc, l, m):
     r_val = scipy.linalg.null_space(bc.y1_basis.T).T
     r_flux = scipy.linalg.null_space(bc.y0_basis.T).T
     u_rows = r_flux @ bc.local_U if bc.local_U is not None else 0.0 * r_flux
-    w_rows = r_flux * _mu_scaling(bc.mu_endpoints)
-    split = [slice(0, l), slice(l, l + m), slice(l + m, l + 2 * m)]
-    return ge.BoundaryMatricesBC(*(r_val[:, s] for s in split), *(w_rows[:, s] for s in split),
-                                 *(u_rows[:, s] for s in split))
+    return ge.BoundaryMatricesBC(r_val, r_flux * bc.mu_endpoints, u_rows, m)
 
 
 def equilibrated_verdict(a):
@@ -42,38 +38,23 @@ def equilibrated_verdict(a):
 
 
 def reference_criterion(bc, coeffs):
-    mu_e0, mu_i0, mu_i1 = coeffs.mu_endpoint_diagonals()
-    return np.vstack([np.hstack([bc.v0e, bc.v1i, bc.v0i]),
-                      np.hstack([bc.w0e / mu_e0, bc.w1i / mu_i1, bc.w0i / mu_i0])])
+    """[V; W C] with its columns ordered (f_e(0), f_i(1), f_i(0))."""
+    l, m = bc.l, bc.m
+    columns = np.r_[0:l, l + m:l + 2 * m, l:l + m]
+    return np.vstack([bc.v_rows, bc.w_rows / coeffs.mu_endpoint_diagonals()])[:, columns]
 
 
 def reference_solve(bc, coeffs, incoming, values):
     """Dense LU of m_out = crit with halved rows, flux rows negated."""
     crit = reference_criterion(bc, coeffs)
     sign = np.where(np.arange(bc.trace_dim) < bc.k0, 1.0, -1.0)
-    u_rhs = np.vstack([np.zeros((bc.k0, bc.trace_dim)), np.hstack([bc.u0e, bc.u0i, bc.u1i])])
+    u_rhs = np.vstack([np.zeros((bc.k0, bc.trace_dim)), bc.u_rows])
     lu = scipy.linalg.lu_factor(0.5 * sign[:, None] * crit)
     return scipy.linalg.lu_solve(lu, -(0.5 * crit @ incoming + u_rhs @ values))
 
 
-def local_condition(rng, g, coeffs, builder):
-    if builder == "standard":
-        return ge.from_standard(g, coeffs)
-    if builder == "delta":
-        degree = np.bincount(np.concatenate([np.ravel(g.internal_edges), g.external_edges])
-                             .astype(int), minlength=g.n)
-        alpha = np.where(degree > 0, rng.uniform(-2.0, 2.0, g.n), 0.0)
-        return ge.from_delta(g, coeffs, ge.DeltaCoupling(alpha))
-    return ge.from_nonlocal_matrices(g, coeffs, rng.uniform(-1.0, 1.0, (g.l, g.l)),
-                                     rng.uniform(-1.0, 1.0, (g.m, g.m)),
-                                     rng.uniform(-1.0, 1.0, (g.m, g.m)))
-
-
 def relative_gap(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
-
-
-BUILDERS = ("standard", "delta", "nonlocal_matrices")
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -108,12 +89,9 @@ def test_blocks_match_dense_reference(builder):
             for bc in (bad, dataclasses.replace(bad, partition=None)):
                 assert ge.check_boundary_spaces(bc).verdict == "NotWellPosed"
             r, f = matrices.partition.value[b][0], matrices.partition.flux[b][0]
-            w_rows = {}
-            for w, v, mu in zip(("w0e", "w0i", "w1i"), ("v0e", "v0i", "v1i"),
-                                coeffs.mu_endpoint_diagonals()):
-                w_rows[w] = getattr(matrices, w).copy()
-                w_rows[w][f] = getattr(matrices, v)[r] * mu
-            bad = dataclasses.replace(matrices, **w_rows)
+            w_rows = matrices.w_rows.copy()
+            w_rows[f] = matrices.v_rows[r] * coeffs.mu_endpoint_diagonals()
+            bad = dataclasses.replace(matrices, w_rows=w_rows)
             assert not equilibrated_verdict(reference_criterion(bad, coeffs))
             for bc in (bad, dataclasses.replace(bad, partition=None)):
                 assert ge.check_boundary_matrices(bc, coeffs).verdict == "NotWellPosed"
@@ -177,10 +155,10 @@ def test_partition_must_match_the_bases(star):
         dataclasses.replace(bc, partition=ge.VertexPartition(
             (part.slots[0], part.slots[1], part.slots[1]), part.value, part.flux))
     matrices = ge.to_boundary_matrices(bc, star.l, star.m)
-    w0i = matrices.w0i.copy()
-    w0i[1, 0] = 1.0  # a leaf's flux row reaching into the center's slots
+    w_rows = matrices.w_rows.copy()
+    w_rows[1, 1] = 1.0  # a leaf's flux row reaching into the center's slot f_1(0)
     with pytest.raises(ge.DimensionMismatchError, match="outside its vertex block"):
-        dataclasses.replace(matrices, w0i=w0i)
+        dataclasses.replace(matrices, w_rows=w_rows)
 
 
 def test_heat_dispatches_on_the_partition(compact_star):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,14 +109,9 @@ def test_checker_update_equivalence_random():
         bc = ge.matrices_bc(l=l, m=m, k0=k0, k1=k1, **blocks)
         if rng.random() < 0.3 and dim >= 2:
             # force singularity by duplicating a criterion-matrix row
-            rows = np.vstack([np.hstack([bc.v0e, bc.v0i, bc.v1i]),
-                              np.hstack([bc.w0e, bc.w0i, bc.w1i])])
+            rows = np.vstack([bc.v_rows, bc.w_rows])
             rows[-1] = rows[0]
-            bc = ge.matrices_bc(l=l, m=m, k0=k0, k1=k1,
-                                v0e=rows[:k0, :l], v0i=rows[:k0, l:l + m],
-                                v1i=rows[:k0, l + m:],
-                                w0e=rows[k0:, :l], w0i=rows[k0:, l:l + m],
-                                w1i=rows[k0:, l + m:])
+            bc = ge.BoundaryMatricesBC(rows[:k0], rows[k0:], bc.u_rows, m)
         verdict = ge.check_boundary_matrices(bc).well_posed
         try:
             ge.vertex_update_matrix(bc)
@@ -139,13 +136,9 @@ def test_row_scaling_does_not_change_verdict():
     coeffs = ge.unit_coefficients(2, 1)
     base = star3_bc()
     for scale in (1e6, 1e-6):
-        w0e = base.w0e.copy()
-        w0e[1] *= scale
-        w0i = base.w0i.copy()
-        w0i[1] *= scale
-        scaled = ge.BoundaryMatricesBC(base.v0e, base.v0i, base.v1i,
-                                       w0e, w0i, base.w1i,
-                                       base.u0e, base.u0i, base.u1i)
+        w_rows = base.w_rows.copy()
+        w_rows[1] *= scale
+        scaled = dataclasses.replace(base, w_rows=w_rows)
         assert ge.check_boundary_matrices(scaled, coeffs).well_posed
 
 
