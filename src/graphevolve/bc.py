@@ -40,6 +40,7 @@ from .errors import (
     ExternalEdgesPresentError,
     NotComplementaryError,
     RankDeficientBasisError,
+    UnsupportedNonlocalConditionError,
     ZeroDegreeVertexError,
 )
 from .graph import MetricGraph, continuity_space, endpoint_vertices, vertex_slots
@@ -220,14 +221,18 @@ class BoundarySpacesBC:
     value trace; the flux membership condition reads
     ``flux_trace + local_U @ value_trace in Y0``.
     nonlocal_kernels optionally carries per-edge sampled integral kernels
-    contributing distributed terms; they never influence trace residuals here
-    (they are consumed by the heat assembler).
+    contributing distributed terms, consumed by the heat assembler; such a
+    condition has no trace-row form, so the DirectSum check, the conversion
+    and the residuals refuse it (UnsupportedNonlocalConditionError).
     mu_endpoints is the trace-ordered vector of endpoint wave speeds
-    (mu_e(0), mu_i(0), mu_i(1)), used to translate between flux and
-    raw-derivative conventions.
-    partition, set only by the continuity builders (``from_standard``,
-    ``from_delta``, ``from_nonlocal_matrices``), lists the vertex blocks:
-    there Y1 is the continuity space and Y0 = C * Y1-perp block by block.
+    (mu_e(0), mu_i(0), mu_i(1)), one per trace slot, used to translate
+    between flux and raw-derivative conventions.
+    partition lists the vertex blocks and says only that the condition is
+    local: Y1 and Y0 are zero off each block's slots.  The continuity
+    builders (``from_standard``, ``from_delta``, ``from_nonlocal_matrices``)
+    set it, with Y1 the continuity space and Y0 = C * Y1-perp block by block;
+    heat takes its finite-volume path for exactly such blocks, checked
+    block by block, and converts any other condition to the matrices form.
     """
 
     y1_basis: np.ndarray
@@ -261,6 +266,12 @@ class BoundarySpacesBC:
                     f"local_U has shape {u.shape}, expected {(n, n)}"
                 )
             object.__setattr__(self, "local_U", u)
+        if self.mu_endpoints is not None:
+            mu = np.asarray(self.mu_endpoints, dtype=float)
+            if mu.shape != (y1.shape[0],):
+                raise DimensionMismatchError(
+                    f"mu_endpoints has shape {mu.shape}, expected {(y1.shape[0],)}")
+            object.__setattr__(self, "mu_endpoints", mu)
 
     @property
     def trace_dim(self) -> int:
@@ -455,7 +466,10 @@ def from_nonlocal_interval(h0_samples, h1_samples) -> BoundarySpacesBC:
     """Single-interval conditions tying each endpoint value to a kernel integral.
 
     The kernels (sampled uniformly on [0,1]) are consumed by the heat
-    assembler as quadrature rows; trace residuals carry no constraint.
+    assembler as quadrature rows.  The trace bases Y1 = C^2, Y0 = {0} are
+    placeholders, not a condition: the DirectSum check, the conversion to
+    matrices and both residuals refuse the result with
+    UnsupportedNonlocalConditionError.
     """
     h0 = np.asarray(h0_samples, dtype=complex).ravel()
     h1 = np.asarray(h1_samples, dtype=complex).ravel()
@@ -470,8 +484,12 @@ def _annihilators(bc: BoundarySpacesBC):
 
     ker R1 = span Y1 and ker R0 = span Y0 under the bilinear pairing.  Each
     block contributes rows supported on its slots, and the returned
-    partition lists them; only the U-rows may reach other blocks.
+    partition lists them; only the U-rows may reach other blocks.  Nonlocal
+    kernels have no row form: UnsupportedNonlocalConditionError.
     """
+    if bc.nonlocal_kernels is not None:
+        raise UnsupportedNonlocalConditionError(
+            "nonlocal interval kernels have no trace-row form")
     dim = bc.trace_dim
     local = [(slots, _annihilator_rows(y1, slots.size), _annihilator_rows(y0, slots.size))
              for slots, y1, y0 in space_blocks(bc)]

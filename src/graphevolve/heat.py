@@ -5,11 +5,12 @@ Boundary conditions enter as rows of the implicit system:
 
 * matrices form -- value rows on trace nodes, derivative rows via
   second-order one-sided stencils, U-terms on trace nodes;
-* spaces form built from continuity (standard / delta / nonlocal-matrices
-  couplings, the builders that set a vertex partition) -- continuity rows
-  plus conservative half-cell vertex balance rows, which conserve discrete
-  mass exactly for edgewise-constant lambda under pure Kirchhoff coupling;
-  any other spaces form is converted to the matrices form;
+* spaces form whose every vertex block (``bc.partition``) is continuity
+  plus Kirchhoff flux balance, as from the standard, delta and
+  nonlocal-matrices builders -- continuity rows plus one conservative
+  half-cell balance row per vertex, which conserve discrete mass exactly for
+  edgewise-constant lambda under pure Kirchhoff coupling; any other spaces
+  form, partitioned or not, is converted to the matrices form;
 * nonlocal interval kernels -- quadrature rows tying each endpoint value to a
   weighted integral of the whole profile;
 * external edges -- truncated with a homogeneous far-end row.
@@ -30,7 +31,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, space_blocks, to_boundary_matrices
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, SingularSystemError
 from .graph import MetricGraph
@@ -82,7 +83,7 @@ class HeatState:
     theta: float
     grids: tuple[np.ndarray, ...]
     lam: tuple[np.ndarray, ...]  # lambda at the nodes of each grid
-    offsets: list[int]
+    offsets: np.ndarray
     u: np.ndarray
     factor: SparseFactor  # LU of the implicit matrix a
     explicit: scipy.sparse.csr_array  # b
@@ -190,40 +191,32 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
             raise DimensionMismatchError(
                 "nonlocal interval kernels require a single internal edge"
             )
-    elif bc.partition is not None:  # set by the continuity builders only
+    elif _is_kirchhoff(bc):
         mode = "continuity"
     else:
         mode = "matrices"
         bc = to_boundary_matrices(bc, g.l, g.m)
 
-    # grids, per-edge coefficients, initial values
-    external, internal, offsets = [], [], []
-    total = 0
-    for k in range(g.l):
-        L = float(external_lengths[k])
-        n = max(4, round(n_per_edge * L))
-        s = np.linspace(0.0, L, n + 1)
-        lam = np.asarray(coeffs.external[k](s), dtype=float)
-        u = init.external[k].displacement.value(s).astype(complex)
-        external.append(HeatEdgeFields(s, u, lam))
-        offsets.append(total)
-        total += n + 1
-    for j in range(g.m):
-        s = np.linspace(0.0, 1.0, n_per_edge + 1)
-        lam = np.asarray(coeffs.internal[j](s), dtype=float)
-        u = init.internal[j].displacement.value(s).astype(complex)
-        internal.append(HeatEdgeFields(s, u, lam))
-        offsets.append(total)
-        total += n_per_edge + 1
-
-    edges = external + internal
+    # grids, lambda and initial values in edges() order (external, then internal)
+    lengths = [float(L) for L in external_lengths] + [1.0] * g.m
+    grids, lams, values = [], [], []
+    for L, profile, edge_init in zip(lengths, coeffs.external + coeffs.internal,
+                                     init.external + init.internal):
+        s = np.linspace(0.0, L, max(4, round(n_per_edge * L)) + 1)
+        grids.append(s)
+        lams.append(np.asarray(profile(s), dtype=float))
+        values.append(edge_init.displacement.value(s).astype(complex))
+    sizes = np.array([s.size for s in grids])
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    spacing = np.array([s[1] - s[0] for s in grids])
+    total = int(sizes.sum())
     a, b = _Triplets(), _Triplets()
     row = 0
 
     # interior theta-scheme rows, one block of n - 1 rows per edge
-    for off, e in zip(offsets, edges):
-        n = e.u.size - 1
-        r = e.h * e.h / (e.lam[1:n] * dt)  # scaled so diagonals stay O(1)
+    for off, h, lam in zip(offsets, spacing, lams):
+        n = lam.size - 1
+        r = h * h / (lam[1:n] * dt)  # scaled so diagonals stay O(1)
         rows = row + np.arange(n - 1)
         nodes = off + np.arange(1, n)
         a.add(rows, nodes, r + 2.0 * theta)
@@ -235,38 +228,57 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         row += n - 1
 
     # external far-end truncation rows
-    for k in range(g.l):
-        a.add(row, offsets[k] + external[k].u.size - 1, 1.0)
-        row += 1
+    a.add(row + np.arange(g.l), offsets[:g.l] + sizes[:g.l] - 1, 1.0)
+    row += g.l
 
-    # trace node bookkeeping in (f_e(0), f_i(0), f_i(1)) order
-    trace_nodes = np.array([offsets[k] for k in range(g.l)]
-                           + [offsets[g.l + j] for j in range(g.m)]
-                           + [offsets[g.l + j] + internal[j].u.size - 1 for j in range(g.m)])
+    # per trace slot (f_e(0), f_i(0), f_i(1)): grid node, step into the edge, spacing
+    node = np.concatenate((offsets, offsets[g.l:] + sizes[g.l:] - 1))
+    inward = np.where(np.arange(node.size) < g.l + g.m, 1, -1)
+    h = np.concatenate((spacing, spacing[g.l:]))
 
     if mode == "nonlocal":
-        row = _assemble_nonlocal_rows(a, row, internal[0], offsets[g.l], nonlocal_kernels)
+        row = _assemble_nonlocal_rows(a, row, grids[g.l], offsets[g.l], nonlocal_kernels)
     elif mode == "continuity":
-        row = _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
-                                    trace_nodes, dt, theta)
+        lam = np.concatenate(lams)
+        lam_half = 0.5 * (lam[node] + lam[node + inward])
+        row = _assemble_vertex_rows(a, b, row, bc, node, inward, h, lam_half, dt, theta)
     else:
-        row = _assemble_matrix_rows(a, row, bc, edges, trace_nodes, g.l, g.m)
+        row = _assemble_matrix_rows(a, row, bc, node, inward, h)
 
     if row != total:
         raise AssertionError(f"assembled {row} rows for {total} unknowns")
 
     factor, cond = factorize(a.to_coo(total).tocsc())
-    return HeatState(g, 0.0, dt, theta, tuple(e.s for e in edges), tuple(e.lam for e in edges),
-                     offsets, np.concatenate([e.u for e in edges]),
-                     factor, b.to_coo(total).tocsr(), cond, mode)
+    return HeatState(g, 0.0, dt, theta, tuple(grids), tuple(lams), offsets,
+                     np.concatenate(values), factor, b.to_coo(total).tocsr(), cond, mode)
 
 
-def _assemble_nonlocal_rows(a, row, edge, off, kernels):
+def _is_kirchhoff(bc: BoundarySpacesBC) -> bool:
+    """Whether every vertex block of `bc` is continuity plus Kirchhoff flux balance.
+
+    A block qualifies if its Y1 is one column, constant on the block's slots,
+    and its Y0 columns have vanishing mu-weighted sums (to within
+    100 * deg * eps of the largest mu-weighted entry): flux trace in Y0 then
+    says that the lambda-weighted outward derivatives sum to zero.  Needs
+    the vertex partition and the endpoint speeds.
+    """
+    if bc.partition is None or bc.mu_endpoints is None:
+        return False
+    eps = np.finfo(float).eps
+    for slots, y1, y0 in space_blocks(bc):
+        mu = bc.mu_endpoints[slots]
+        weighted = np.abs(mu[:, None] * y0).max(initial=0.0)
+        if y1.shape[1] != 1 or np.any(y1 != y1[0]) or \
+                np.any(np.abs(mu @ y0) > 100 * slots.size * eps * weighted):
+            return False
+    return True
+
+
+def _assemble_nonlocal_rows(a, row, s, off, kernels):
     """Endpoint value = trapezoid quadrature of kernel times the profile."""
-    s = edge.s
     n = s.size
     grid = np.linspace(0.0, 1.0, kernels[0].size)
-    w = np.full(n, edge.h)
+    w = np.full(n, s[1] - s[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     for j, kernel in enumerate(kernels):
@@ -278,75 +290,57 @@ def _assemble_nonlocal_rows(a, row, edge, off, kernels):
     return row
 
 
-def _assemble_vertex_rows(a, b, row, g, bc, edges, offsets,
-                          trace_nodes, dt, theta):
-    """Continuity rows plus conservative half-cell flux balance per vertex."""
-    # endpoint -> (vertex, trace slot, global trace node, neighbor node, h, lam_half)
-    endpoint_info = []
-    for k in range(g.l):
-        e = edges[k]
-        lam_half = 0.5 * (e.lam[0] + e.lam[1])
-        endpoint_info.append((g.external_edges[k], k, offsets[k], offsets[k] + 1,
-                              e.h, lam_half))
-    for j in range(g.m):
-        e = edges[g.l + j]
-        off = offsets[g.l + j]
-        n = e.u.size - 1
-        tail, head = g.internal_edges[j]
-        endpoint_info.append((tail, g.l + j, off, off + 1,
-                              e.h, 0.5 * (e.lam[0] + e.lam[1])))
-        endpoint_info.append((head, g.l + g.m + j, off + n, off + n - 1,
-                              e.h, 0.5 * (e.lam[n] + e.lam[n - 1])))
+def _assemble_vertex_rows(a, b, row, bc: BoundarySpacesBC, node, inward, h, lam_half,
+                          dt, theta):
+    """Continuity rows plus one conservative half-cell flux balance row per vertex.
 
-    by_vertex: dict[int, list] = {}
-    for info in endpoint_info:
-        by_vertex.setdefault(info[0], []).append(info)
+    The vertices are the blocks of ``bc.partition``.  Each slot of a block
+    but the first gets a row equating its value with the first slot's; then
+    each block gets one balance row over the half cells at its slots.
+    """
+    slots = bc.partition.slots
+    sizes = np.array([s.size for s in slots])
+    rest = np.concatenate([s[1:] for s in slots])
+    rows = row + np.arange(rest.size)
+    a.add(rows, node[rest], 1.0)
+    a.add(rows, node[np.repeat([s[0] for s in slots], sizes - 1)], -1.0)
+    row += rest.size
 
-    # continuity rows: all endpoint values at a vertex agree
-    for v in sorted(by_vertex):
-        nodes = [info[2] for info in by_vertex[v]]
-        for node in nodes[1:]:
-            a.add(row, node, 1.0)
-            a.add(row, nodes[0], -1.0)
-            row += 1
-
-    for v in sorted(by_vertex):
-        for (_, slot, tr, adj, h, lam_half) in by_vertex[v]:
-            cap = 0.5 * h / dt
-            flux = lam_half / h
-            a.add(row, tr, cap + theta * flux)
-            a.add(row, adj, -theta * flux)
-            b.add(row, tr, cap - (1.0 - theta) * flux)
-            b.add(row, adj, (1.0 - theta) * flux)
-        if bc.local_U is not None:
-            # zeroth-order source: the flux sum at v equals src @ trace values
-            slots = sorted(info[1] for info in by_vertex[v])
-            src = bc.mu_endpoints[slots] @ bc.local_U[slots]
+    order = np.concatenate(slots)
+    rows = row + np.repeat(np.arange(len(slots)), sizes)
+    tr, adj = node[order], node[order] + inward[order]
+    cap = 0.5 * h[order] / dt
+    flux = lam_half[order] / h[order]
+    a.add(rows, tr, cap + theta * flux)
+    a.add(rows, adj, -theta * flux)
+    b.add(rows, tr, cap - (1.0 - theta) * flux)
+    b.add(rows, adj, (1.0 - theta) * flux)
+    if bc.local_U is not None:
+        # zeroth-order source: the flux sum at a vertex equals src @ trace values
+        for r, s in enumerate(slots, start=row):
+            src = bc.mu_endpoints[s] @ bc.local_U[s]
             nonzero = np.flatnonzero(src)
-            a.add(row, trace_nodes[nonzero], -theta * src[nonzero])
-            b.add(row, trace_nodes[nonzero], (1.0 - theta) * src[nonzero])
-        row += 1
-    return row
+            a.add(r, node[nonzero], -theta * src[nonzero])
+            b.add(r, node[nonzero], (1.0 - theta) * src[nonzero])
+    return row + len(slots)
 
 
-def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, edges, trace_nodes, l, m):
+def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, node, inward, h):
     """Value rows and one-sided-stencil derivative rows of the matrices form.
 
     W multiplies outward derivatives, so each slot's second-order stencil runs
     inward from its trace node: up the edge at f(0) slots, down it at f_i(1).
     """
     r, c = np.nonzero(bc.v_rows)
-    a.add(row + r, trace_nodes[c], bc.v_rows[r, c])
+    a.add(row + r, node[c], bc.v_rows[r, c])
     row += bc.k0
 
-    h = np.array([e.h for e in edges] + [e.h for e in edges[l:]])  # per trace slot
-    inward = np.where(np.arange(l + 2 * m) < l + m, 1, -1)
     weights = np.array([-1.5, 2.0, -0.5])
     r, c = np.nonzero(bc.w_rows)
-    a.add((row + r)[:, None], trace_nodes[c, None] + inward[c, None] * np.arange(3),
+    a.add((row + r)[:, None], node[c, None] + inward[c, None] * np.arange(3),
           bc.w_rows[r, c, None] * (weights / h[c, None]))
     r, c = np.nonzero(bc.u_rows)
-    a.add(row + r, trace_nodes[c], bc.u_rows[r, c])
+    a.add(row + r, node[c], bc.u_rows[r, c])
     return row + bc.k1
 
 

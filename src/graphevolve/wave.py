@@ -197,23 +197,17 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     steps = max(1, math.ceil(T / dt_target))
     dt = T / steps
 
-    # (length, initial data, cells, snapped speed) of each edge, in edges() order
-    internal = []
-    for j in range(g.m):
-        n, mu_t = _snap(_constant_speed(coeffs.internal[j]), 1.0, dt, snap_tol)
-        internal.append((1.0, init.internal[j], n, mu_t))
-    external = []
-    for k in range(g.l):
-        L = float(external_lengths[k])
-        n, mu_t = _snap(_constant_speed(coeffs.external[k]), L, dt, snap_tol)
-        external.append((L, init.external[k], n, mu_t))
-    edges = external + internal
-
-    size = np.array([n + 1 for _, _, n, _ in edges], dtype=np.int64)
+    # length, initial data and snapped (cells, speed) of each edge, in edges() order
+    lengths = [float(L) for L in external_lengths] + [1.0] * g.m
+    snaps = [_snap(_constant_speed(profile), L, dt, snap_tol)
+             for L, profile in zip(lengths, coeffs.external + coeffs.internal)]
+    mu = np.array([mu_t for _, mu_t in snaps])
+    size = np.array([n + 1 for n, _ in snaps], dtype=np.int64)
     start = np.concatenate(([0], np.cumsum(size)[:-1])).astype(np.int64)
     packed = [np.empty(int(size.sum()), dtype=complex) for _ in range(5)]  # p, q, F, G, u0
     grids = []
-    for e, (L, edge_init, n, mu_t) in enumerate(edges):
+    for e, (L, edge_init, (n, mu_t)) in enumerate(zip(lengths, init.external + init.internal,
+                                                      snaps)):
         s = np.linspace(0.0, L, n + 1)
         s.flags.writeable = False
         fields = _init_fields(s, mu_t, edge_init)
@@ -232,10 +226,9 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
             whole[start[e]:start[e] + size[e]] = part
         grids.append(s)
 
-    snapped = EdgeCoefficients(tuple(constant(mu_t**2) for _, _, _, mu_t in internal),
-                               tuple(constant(mu_t**2) for _, _, _, mu_t in external))
-    update = vertex_update_matrix(bc, snapped)
-    mu = np.array([mu_t for _, _, _, mu_t in edges])
+    squares = [constant(x**2) for x in mu.tolist()]
+    update = vertex_update_matrix(bc, EdgeCoefficients(tuple(squares[g.l:]),
+                                                       tuple(squares[:g.l])))
     return WaveState(g, 0.0, dt, update, tuple(grids), mu, start, size, *packed)
 
 

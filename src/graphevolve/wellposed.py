@@ -32,7 +32,13 @@ from scipy.sparse.linalg import splu
 
 from .bc import BoundaryMatricesBC, BoundarySpacesBC, matrix_blocks, space_blocks
 from .coeffs import EdgeCoefficients
-from .errors import BadT0Error, DimensionMismatchError, NotWellPosedError, SingularUpdateError
+from .errors import (
+    BadT0Error,
+    DimensionMismatchError,
+    NotWellPosedError,
+    SingularUpdateError,
+    UnsupportedNonlocalConditionError,
+)
 
 WELL_POSED = "WellPosed"
 NOT_WELL_POSED = "NotWellPosed"
@@ -175,9 +181,14 @@ def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
     """Direct-sum criterion for the spaces form.
 
     Well-posed iff dim Y0 + dim Y1 equals the trace dimension and the stacked
-    basis [Y0 | Y1] is invertible; local_U and nonlocal kernels never influence
-    the verdict.
+    basis [Y0 | Y1] is invertible; local_U never influences the verdict.
+    Conditions with nonlocal kernels raise UnsupportedNonlocalConditionError:
+    their criterion is NonlocalYoung (``check_nonlocal_interval``).
     """
+    if bc.nonlocal_kernels is not None:
+        raise UnsupportedNonlocalConditionError(
+            "the DirectSum criterion does not apply to nonlocal kernels; "
+            "use check_nonlocal_interval")
     dim = bc.trace_dim
     tol = _sigma_tol(dim)
     dims = {"trace_dim": dim, "d0": bc.d0, "d1": bc.d1}

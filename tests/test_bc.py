@@ -204,6 +204,26 @@ def test_to_boundary_matrices_not_complementary():
         ge.to_boundary_matrices(bc, 0, 1)
 
 
+def test_mu_endpoints_length_is_checked():
+    with pytest.raises(ge.DimensionMismatchError, match="mu_endpoints"):
+        ge.BoundarySpacesBC([[1], [1]], [[1], [-1]], mu_endpoints=np.ones(3))
+    bc = ge.BoundarySpacesBC([[1], [1]], [[1], [-1]], mu_endpoints=[2, 2])
+    assert bc.mu_endpoints.dtype == float and bc.mu_endpoints.shape == (2,)
+
+
+def test_nonlocal_interval_has_no_trace_rows():
+    """Y1 = C^2, Y0 = {0} only hold the kernels' place: read as trace
+    conditions they would say Neumann."""
+    bc = ge.from_nonlocal_interval(np.full(11, 0.8), np.full(11, 0.8))
+    trace = trace_from_function(lambda s: 1.0 + s, lambda s: 1.0)
+    for call in (lambda: ge.check_boundary_spaces(bc),
+                 lambda: ge.to_boundary_matrices(bc, 0, 1),
+                 lambda: ge.value_residual(bc, trace),
+                 lambda: ge.flux_residual(bc, trace)):
+        with pytest.raises(ge.UnsupportedNonlocalConditionError):
+            call()
+
+
 def test_round_trip_residual_equivalence():
     rng = np.random.default_rng(31)
     coeffs = ge.EdgeCoefficients((ge.constant(2.0), ge.constant(0.5)),

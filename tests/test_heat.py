@@ -232,6 +232,51 @@ def test_generic_y0_takes_matrices_path():
     assert mass(standard) == pytest.approx(0.4259, abs=1e-4)
 
 
+def test_partitioned_dirichlet_spaces_take_matrices_path(interval):
+    """A vertex partition means "local", not "Kirchhoff": Dirichlet as spaces."""
+    bc = ge.BoundarySpacesBC(np.zeros((2, 0)), np.eye(2), mu_endpoints=np.ones(2),
+                             partition=ge.VertexPartition(([0], [1]), ([], []), ([0], [1])))
+    init = ge.InitialData((ge.EdgeInitial(ge.gaussian(0.3, 0.1)),), ())
+    st = ge.heat_init(interval, ge.unit_coefficients(1), bc, init, dt=1e-3, n_per_edge=100)
+    st, _, _ = ge.heat_run(st, 0.1, record_stride=100)
+    u = st.internal[0].u
+    assert st.path == "matrices"
+    assert abs(u[0]) <= 1e-12 and abs(u[-1]) <= 1e-12
+
+
+def test_non_kirchhoff_blocks_take_matrices_path(compact_star):
+    """The centre block of `from_standard` with its Y0 block replaced by one
+    that is not the mu-weighted (1, ..., 1)-perp, or its Y1 column by a
+    non-constant one, is not Kirchhoff; another basis of that perp still is."""
+    coeffs = ge.EdgeCoefficients(tuple(ge.constant(c) for c in (1.0, 2.0, 0.5)), ())
+    standard = ge.from_standard(compact_star, coeffs)
+    centre = standard.partition.slots[0]
+    assert list(centre) == [1, 2, 3]  # vertex 0: head of edge 0, tails of edges 1 and 2
+    value, flux = standard.partition.value[0], standard.partition.flux[0]
+    perp = standard.y0_basis[np.ix_(centre, flux)]
+    rng = np.random.default_rng(7)
+    init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(3)), ())
+
+    def final(bc):
+        st = ge.heat_init(compact_star, coeffs, bc, init, dt=1e-3, n_per_edge=40)
+        st, _, _ = ge.heat_run(st, 0.1, record_stride=100)
+        return st
+
+    def centre_block(y1_block, y0_block):
+        y1, y0 = standard.y1_basis.copy(), standard.y0_basis.copy()
+        y1[np.ix_(centre, value)] = y1_block
+        y0[np.ix_(centre, flux)] = y0_block
+        return dataclasses.replace(standard, y1_basis=y1, y0_basis=y0)
+
+    for bc in (centre_block(np.ones((3, 1)), rng.standard_normal((3, 2))),
+               centre_block(np.array([[1.0], [2.0], [3.0]]), perp)):
+        st = final(bc)
+        assert st.path == "matrices"
+        assert np.array_equal(st.vector(), final(ge.to_boundary_matrices(bc, 0, 3)).vector())
+    assert final(centre_block(np.ones((3, 1)), perp @ rng.standard_normal((2, 2)))).path \
+        == "continuity"
+
+
 @pytest.mark.parametrize("build", [
     lambda g, c: ge.from_standard(g, c),
     lambda g, c: ge.from_delta(g, c, ge.DeltaCoupling([2.0, 0.0, 0.0, 0.0])),
@@ -282,6 +327,25 @@ def test_continuity_and_matrices_paths_converge_to_each_other():
         assert gaps[0] / gaps[1] >= 2.5, gaps
         assert gaps[1] / gaps[2] >= 3.0, gaps
         assert gaps[2] <= 1e-3, gaps
+
+
+def reference_layout(g, coeffs, n_per_edge, external_lengths):
+    """Per-edge fields, offsets and trace nodes as the set-up derived them
+    before the per-slot table: external edges first, then internal."""
+    edges, offsets, total = [], [], 0
+    for k in range(g.l):
+        L = external_lengths[k]
+        s = np.linspace(0.0, L, max(4, round(n_per_edge * L)) + 1)
+        edges.append(heat.HeatEdgeFields(s, np.zeros(s.size), np.asarray(coeffs.external[k](s))))
+    for j in range(g.m):
+        s = np.linspace(0.0, 1.0, n_per_edge + 1)
+        edges.append(heat.HeatEdgeFields(s, np.zeros(s.size), np.asarray(coeffs.internal[j](s))))
+    for e in edges:
+        offsets.append(total)
+        total += e.u.size
+    trace_nodes = np.array(offsets + [offsets[g.l + j] + edges[g.l + j].u.size - 1
+                                      for j in range(g.m)])
+    return edges, offsets, trace_nodes
 
 
 def reference_matrix_rows(a, row, bc, edges, trace_nodes, l, m):
@@ -353,10 +417,112 @@ def test_matrix_rows_match_per_entry_reference(monkeypatch, builder, n_per_edge)
             return st.vector()
 
         got = solution()
+        edges, _, trace_nodes = reference_layout(g, coeffs, n_per_edge, (1.5,) * g.l)
+
+        def adapter(a, row, bc, node, inward, h):
+            return reference_matrix_rows(a, row, bc, edges, trace_nodes, g.l, g.m)
+
         with monkeypatch.context() as patch:
-            patch.setattr(heat, "_assemble_matrix_rows", reference_matrix_rows)
+            patch.setattr(heat, "_assemble_matrix_rows", adapter)
             want = solution()
         assert np.array_equal(got, want)
+
+
+def reference_vertex_rows(a, b, row, g, bc, edges, offsets, trace_nodes, dt, theta):
+    """The per-endpoint continuity assembly that the partition's blocks
+    replaced, kept as an oracle: vertex membership from the edge lists."""
+    # endpoint -> (vertex, trace slot, global trace node, neighbor node, h, lam_half)
+    endpoint_info = []
+    for k in range(g.l):
+        e = edges[k]
+        lam_half = 0.5 * (e.lam[0] + e.lam[1])
+        endpoint_info.append((g.external_edges[k], k, offsets[k], offsets[k] + 1,
+                              e.h, lam_half))
+    for j in range(g.m):
+        e = edges[g.l + j]
+        off = offsets[g.l + j]
+        n = e.u.size - 1
+        tail, head = g.internal_edges[j]
+        endpoint_info.append((tail, g.l + j, off, off + 1,
+                              e.h, 0.5 * (e.lam[0] + e.lam[1])))
+        endpoint_info.append((head, g.l + g.m + j, off + n, off + n - 1,
+                              e.h, 0.5 * (e.lam[n] + e.lam[n - 1])))
+
+    by_vertex: dict[int, list] = {}
+    for info in endpoint_info:
+        by_vertex.setdefault(info[0], []).append(info)
+
+    # continuity rows: all endpoint values at a vertex agree
+    for v in sorted(by_vertex):
+        nodes = [info[2] for info in by_vertex[v]]
+        for node in nodes[1:]:
+            a.add(row, node, 1.0)
+            a.add(row, nodes[0], -1.0)
+            row += 1
+
+    for v in sorted(by_vertex):
+        for (_, slot, tr, adj, h, lam_half) in by_vertex[v]:
+            cap = 0.5 * h / dt
+            flux = lam_half / h
+            a.add(row, tr, cap + theta * flux)
+            a.add(row, adj, -theta * flux)
+            b.add(row, tr, cap - (1.0 - theta) * flux)
+            b.add(row, adj, (1.0 - theta) * flux)
+        if bc.local_U is not None:
+            # zeroth-order source: the flux sum at v equals src @ trace values
+            slots = sorted(info[1] for info in by_vertex[v])
+            src = bc.mu_endpoints[slots] @ bc.local_U[slots]
+            nonzero = np.flatnonzero(src)
+            a.add(row, trace_nodes[nonzero], -theta * src[nonzero])
+            b.add(row, trace_nodes[nonzero], (1.0 - theta) * src[nonzero])
+        row += 1
+    return row
+
+
+@pytest.mark.parametrize("n_per_edge", [4, 9])
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_vertex_rows_match_per_endpoint_reference(monkeypatch, builder, n_per_edge):
+    """The block-wise continuity rows give the solutions of the per-endpoint loop.
+
+    The two pair each slot with a different first slot of its vertex, so the
+    factorizations round differently: agreement is to 1e-12 relative.
+    """
+    rng = np.random.default_rng({"standard": 4, "delta": 5, "nonlocal_matrices": 6}[builder])
+    cases = 0
+    while cases < 10:
+        g = random_graph(rng, max_n=6, max_m=6, max_l=3)
+        if g.l == 0:
+            continue
+        cases += 1
+        # lambda varies along each edge, so half-cell and nodal values differ
+        coeffs = ge.EdgeCoefficients(
+            tuple(ge.sampled(rng.uniform(0.25, 4.0, 5)) for _ in range(g.m)),
+            tuple(ge.sampled(rng.uniform(0.25, 4.0, 5), 1.5) for _ in range(g.l)))
+        bc = local_condition(rng, g, coeffs, builder)
+        init = ge.InitialData(
+            tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(g.m)),
+            tuple(ge.EdgeInitial(ge.gaussian(0.3, 0.1, length=1.5)) for _ in range(g.l)))
+        dt, theta = 1e-3, 0.5
+
+        def solution():
+            st = ge.heat_init(g, coeffs, bc, init, dt=dt, theta=theta,
+                              n_per_edge=n_per_edge, external_lengths=(1.5,) * g.l)
+            for _ in range(20):
+                ge.heat_step(st)
+            assert st.path == "continuity"
+            return st.vector()
+
+        got = solution()
+        edges, offsets, trace_nodes = reference_layout(g, coeffs, n_per_edge, (1.5,) * g.l)
+
+        def adapter(a, b, row, bc, node, inward, h, lam_half, dt, theta):
+            return reference_vertex_rows(a, b, row, g, bc, edges, offsets, trace_nodes,
+                                         dt, theta)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(heat, "_assemble_vertex_rows", adapter)
+            want = solution()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_gate_refuses_exactly_singular_matrix():
