@@ -80,7 +80,6 @@ from .initial import (
     custom_samples,
     gaussian,
     sine_mode,
-    zero_initial,
     zero_profile,
 )
 from .wave import WaveState, wave_init, wave_run, wave_step

@@ -302,17 +302,6 @@ def space_blocks(bc: BoundarySpacesBC):
         yield slots, bc.y1_basis[np.ix_(slots, value)], bc.y0_basis[np.ix_(slots, flux)]
 
 
-def matrix_blocks(bc: BoundaryMatricesBC):
-    """(slots, value rows, flux rows, V block, W block) of each vertex block.
-
-    The block columns follow `slots` (trace order); W is unscaled.
-    """
-    part = vertex_blocks(bc)
-    for slots, value, flux in zip(part.slots, part.value, part.flux):
-        yield (slots, value, flux, bc.v_rows[np.ix_(value, slots)],
-               bc.w_rows[np.ix_(flux, slots)])
-
-
 @dataclass(frozen=True)
 class DeltaCoupling:
     """Per-vertex coupling coefficients for delta-type conditions."""

@@ -75,7 +75,7 @@ def _write_report(report_dict: dict, output_dir: Path, quiet: bool) -> None:
 def _run_check(cfg: RunConfig) -> WellPosednessReport:
     if cfg.bc_kind == "nonlocal_interval":
         h0, h1 = cfg.bc.nonlocal_kernels
-        return check_nonlocal_interval(h0, h1, cfg.nonlocal_t0 or 0.25)
+        return check_nonlocal_interval(h0, h1, cfg.nonlocal_t0)
     if isinstance(cfg.bc, BoundaryMatricesBC):
         return check_boundary_matrices(cfg.bc, cfg.coeffs)
     return check_boundary_spaces(cfg.bc)
@@ -92,16 +92,13 @@ def cmd_nonlocal_check(cfg: RunConfig, output_dir: Path, quiet: bool,
     if cfg.bc_kind != "nonlocal_interval":
         raise ConfigError("bc.kind", "nonlocal-check requires bc.kind = nonlocal_interval")
     h0, h1 = cfg.bc.nonlocal_kernels
-    t0 = cfg.nonlocal_t0 or 0.25
-    report = check_nonlocal_interval(h0, h1, t0)
-    certified_t0 = t0
-    if not report.well_posed and auto_shrink:
-        report = auto_shrink_t0(h0, h1, t0)
-        certified_t0 = report.dims.get("t0", t0)
+    t0 = cfg.nonlocal_t0
+    # auto_shrink_t0 probes t0 itself first
+    report = (auto_shrink_t0 if auto_shrink else check_nonlocal_interval)(h0, h1, t0)
     n = 128
-    r_matrix = discretize_nonlocal_R(h0, h1, report.dims.get("t0", t0), n)
+    r_matrix = discretize_nonlocal_R(h0, h1, report.dims["t0"], n)
     sigma_min = float(np.linalg.svd(r_matrix, compute_uv=False)[-1])
-    extra = {"requested_t0": t0, "certified_t0": certified_t0 if report.well_posed else None,
+    extra = {"requested_t0": t0, "certified_t0": report.dims["t0"] if report.well_posed else None,
              "discretized_sigma_min": sigma_min, "discretization_n": n}
     _write_report(_report_dict(report, extra), output_dir, quiet)
     return 0 if report.well_posed else 2

@@ -96,13 +96,18 @@ def check_positive(profile: CoefficientProfile, domain_length: float,
 
 @dataclass(frozen=True)
 class EdgeCoefficients:
-    """Per-edge profiles for a whole graph; external ones obey the epsilon bound."""
+    """Per-edge profiles for a whole graph, with 0 < epsilon < 1.
+
+    External profiles obey epsilon < lambda < 1 / epsilon.
+    """
 
     internal: tuple[CoefficientProfile, ...]
     external: tuple[CoefficientProfile, ...]
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        if not 0.0 < self.epsilon < 1.0:  # NaN fails too
+            raise NonPositiveCoefficientError(f"epsilon = {self.epsilon!r} outside (0, 1)")
         for p in self.internal:
             check_positive(p, 1.0)
         for p in self.external:

@@ -127,7 +127,7 @@ def _matrix(value, rows, cols, path) -> np.ndarray:
 
 def _parse_graph(section, path="graph"):
     vertices = _require(section, "vertices", path)
-    if isinstance(vertices, int):
+    if isinstance(vertices, int) and not isinstance(vertices, bool):
         names = tuple(f"v{i}" for i in range(vertices))
     elif isinstance(vertices, list) and all(isinstance(v, str) for v in vertices):
         names = tuple(vertices)
@@ -142,7 +142,7 @@ def _parse_graph(section, path="graph"):
             if ref not in index:
                 _fail(p, f"unknown vertex {ref!r}")
             return index[ref]
-        if isinstance(ref, int) and 0 <= ref < len(names):
+        if isinstance(ref, int) and not isinstance(ref, bool) and 0 <= ref < len(names):
             return ref
         _fail(p, f"cannot resolve vertex reference {ref!r}")
 

@@ -82,33 +82,15 @@ def validate_graph(g: MetricGraph) -> None:
             raise IndexOutOfRangeError(
                 f"external edge {k} anchor {anchor} outside [0, {g.n})"
             )
-    touched = incident_vertices(g)
-    if len(touched) < g.n:
-        isolated = sorted(set(range(g.n)) - touched)
+    isolated = sorted(set(range(g.n)) - set(endpoint_vertices(g).tolist()))
+    if isolated:
         warnings.warn(f"isolated vertices present: {isolated}", stacklevel=2)
 
 
-def incident_vertices(g: MetricGraph) -> set[int]:
-    """Vertices touched by at least one edge endpoint."""
-    touched: set[int] = set()
-    for tail, head in g.internal_edges:
-        touched.add(tail)
-        touched.add(head)
-    touched.update(g.external_edges)
-    return touched
-
-
 def incidence_matrices(g: MetricGraph) -> IncidenceSet:
-    """Build the three 0/1 incidence matrices of the graph."""
-    phi_e = np.zeros((g.n, g.l))
-    phi_im = np.zeros((g.n, g.m))
-    phi_ip = np.zeros((g.n, g.m))
-    for k, anchor in enumerate(g.external_edges):
-        phi_e[anchor, k] = 1.0
-    for j, (tail, head) in enumerate(g.internal_edges):
-        phi_im[tail, j] = 1.0
-        phi_ip[head, j] = 1.0
-    return IncidenceSet(phi_e, phi_im, phi_ip)
+    """The three 0/1 incidence matrices: column blocks of ``trace_stack(g).T``."""
+    phi = trace_stack(g).T
+    return IncidenceSet(phi[:, :g.l], phi[:, g.l:g.l + g.m], phi[:, g.l + g.m:])
 
 
 def degree_matrices(g: MetricGraph) -> DegreeSet:
@@ -122,8 +104,9 @@ def degree_matrices(g: MetricGraph) -> DegreeSet:
 
 def trace_stack(g: MetricGraph) -> np.ndarray:
     """Stacked incidence transposes, (l + 2m) x n, in trace order."""
-    inc = incidence_matrices(g)
-    return np.vstack([inc.phi_e_minus.T, inc.phi_i_minus.T, inc.phi_i_plus.T])
+    stack = np.zeros((g.trace_dim, g.n))
+    stack[np.arange(g.trace_dim), endpoint_vertices(g)] = 1.0
+    return stack
 
 
 def endpoint_vertices(g: MetricGraph) -> np.ndarray:

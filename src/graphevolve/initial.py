@@ -131,9 +131,3 @@ class InitialData:
 
     internal: tuple[EdgeInitial, ...] = ()
     external: tuple[EdgeInitial, ...] = ()
-
-
-def zero_initial(m: int, l: int = 0, external_lengths=()) -> InitialData:
-    ext = tuple(EdgeInitial(zero_profile(length=L)) for L in external_lengths) if external_lengths \
-        else tuple(EdgeInitial(zero_profile()) for _ in range(l))
-    return InitialData(tuple(EdgeInitial(zero_profile()) for _ in range(m)), ext)

@@ -93,8 +93,6 @@ class WaveEdgeFields:
 
     @property
     def u(self) -> np.ndarray:
-        if self._state.step_count == 0:
-            return self._unroll(self._state.u0, 0)
         return self.fwd + self.bwd
 
 
@@ -106,8 +104,9 @@ class WaveState:
     ``fwd`` and ``bwd``.  After k steps node i of a left-moving field (p, G)
     sits at slot ``start + (i + k) % size`` and node i of a right-moving field
     (q, F) at ``start + (i - k) % size``: the step counter is the ring head of
-    every edge, so the interior shift of a step moves no data.  ``u0`` holds
-    the initial displacement in grid order; later u = F + G.
+    every edge, so the interior shift of a step moves no data.  The
+    displacement is u = F + G from step 0 on: with zero initial velocity
+    F = G = u0 / 2, so F + G is u0 exactly, up to the last bit of subnormals.
     """
 
     graph: MetricGraph
@@ -122,7 +121,6 @@ class WaveState:
     q: np.ndarray
     fwd: np.ndarray
     bwd: np.ndarray
-    u0: np.ndarray
     step_count: int = 0
 
     def edges(self) -> list[WaveEdgeFields]:
@@ -204,7 +202,7 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     mu = np.array([mu_t for _, mu_t in snaps])
     size = np.array([n + 1 for n, _ in snaps], dtype=np.int64)
     start = np.concatenate(([0], np.cumsum(size)[:-1])).astype(np.int64)
-    packed = [np.empty(int(size.sum()), dtype=complex) for _ in range(5)]  # p, q, F, G, u0
+    packed = [np.empty(int(size.sum()), dtype=complex) for _ in range(4)]  # p, q, F, G
     grids = []
     for e, (L, edge_init, (n, mu_t)) in enumerate(zip(lengths, init.external + init.internal,
                                                       snaps)):
@@ -222,7 +220,7 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
                 raise SupportViolationError(
                     f"external edge {e}: initial data must vanish on ({reach:.6g}, {L}]"
                 )
-        for whole, part in zip(packed, fields):
+        for whole, part in zip(packed, fields[:4]):
             whole[start[e]:start[e] + size[e]] = part
         grids.append(s)
 
@@ -252,11 +250,8 @@ def wave_step(state: WaveState) -> None:
     slots = state.start + (k * _RING_SIGN + _RING_OFFSET) % state.size
     # after the step p, G end where node 0 is now, and q, F start where the last node is
     left0, left_end, left0_next, right0, right_end, right_end_next = slots
-
-    if k == 0:  # rings start in grid order
-        u_start, u_end = state.u0[left0], state.u0[left_end]
-    else:  # F + G at (right0, left0) and at (right_end, left_end)
-        u_start, u_end = fwd[slots[3:5]] + bwd[slots[0:2]]
+    # u = F + G at (right0, left0) and at (right_end, left_end)
+    u_start, u_end = fwd[slots[3:5]] + bwd[slots[0:2]]
     old_q0 = q[right0]
     old_p_end = p[left_end]
 
@@ -306,11 +301,8 @@ def energy(state: WaveState) -> float:
 
 
 def mass(state: WaveState) -> float:
-    k = state.step_count
-    if k == 0:
-        fields = ((state.u0.real, 0),)
-    else:  # u = F + G
-        fields = ((state.fwd.real, -k), (state.bwd.real, k))
+    k = state.step_count  # u = F + G
+    fields = ((state.fwd.real, -k), (state.bwd.real, k))
     return float(_spacings(state) @ _trapezoid(state, fields))
 
 

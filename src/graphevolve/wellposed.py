@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import splu
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, matrix_blocks, space_blocks
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, space_blocks, vertex_blocks
 from .coeffs import EdgeCoefficients
 from .errors import (
     BadT0Error,
@@ -140,10 +140,12 @@ def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None):
     l, m = bc.l, bc.m
     # criterion column of each trace slot: the f_i(1) columns come before f_i(0)
     column = np.concatenate([np.arange(l), l + m + np.arange(m), l + np.arange(m)])
-    for slots, value, flux, v, w in matrix_blocks(bc):
-        order = np.argsort(column[slots])
-        block = np.vstack([v[:, order], w[:, order] / speeds[slots[order]]])
-        yield np.concatenate([value, bc.k0 + flux]), column[slots[order]], block
+    part = vertex_blocks(bc)
+    for slots, value, flux in zip(part.slots, part.value, part.flux):
+        order = slots[np.argsort(column[slots])]  # the block's slots in column order
+        block = np.vstack([bc.v_rows[np.ix_(value, order)],
+                           bc.w_rows[np.ix_(flux, order)] / speeds[order]])
+        yield np.concatenate([value, bc.k0 + flux]), column[order], block
 
 
 def check_boundary_matrices(bc: BoundaryMatricesBC,
@@ -248,18 +250,16 @@ def _abs_l1_restricted(samples: np.ndarray, t0: float, reflected: bool) -> float
     return float(np.trapezoid(np.abs(vals), t))
 
 
-def check_nonlocal_interval(h0_samples, h1_samples, t0: float,
-                            p: float = 2.0) -> WellPosednessReport:
+def check_nonlocal_interval(h0_samples, h1_samples, t0: float) -> WellPosednessReport:
     """Young-bound certificate for the nonlocal interval problem.
 
     Computes per-block-row kernel norms over [0, t0]; beta < 1 certifies
     invertibility of the Id-minus-convolutions block by a Neumann series.
+    The bound is the same in every L^p, 1 <= p < inf; ``dims`` reports p = 2.
     A failed bound is Inconclusive (not a disproof): retry with smaller t0.
     """
     if not 0.0 < t0 <= 1.0:
         raise BadT0Error(f"t0 = {t0} outside (0, 1]")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
     b0 = _abs_l1_restricted(h0_samples, t0, reflected=False)
     b0_ref = _abs_l1_restricted(h0_samples, t0, reflected=True)
     b1 = _abs_l1_restricted(h1_samples, t0, reflected=False)
@@ -270,7 +270,7 @@ def check_nonlocal_interval(h0_samples, h1_samples, t0: float,
         verdict=WELL_POSED if well else INCONCLUSIVE,
         criterion="NonlocalYoung",
         young_bound=beta,
-        dims={"t0": t0, "p": p},
+        dims={"t0": t0, "p": 2.0},
         notes=() if well else ("Young bound >= 1 is not a disproof; "
                                "retry with a smaller t0",),
     )
@@ -313,12 +313,15 @@ def discretize_nonlocal_R(h0_samples, h1_samples, t0: float, n: int) -> np.ndarr
     return np.eye(2 * n, dtype=complex) - block
 
 
-def auto_shrink_t0(h0_samples, h1_samples, t0: float,
-                   floor: float = 2.0**-10) -> WellPosednessReport:
-    """Halve t0 until the Young bound certifies well-posedness or hits the floor."""
+def auto_shrink_t0(h0_samples, h1_samples, t0: float) -> WellPosednessReport:
+    """Probe t0, t0 / 2, t0 / 4, ... (not below 2^-10) until the Young bound certifies.
+
+    The first probe is ``check_nonlocal_interval`` at t0 itself.  Returns the
+    report of the last probe; its ``dims["t0"]`` is the t0 that probe used.
+    """
     t = t0
     report = check_nonlocal_interval(h0_samples, h1_samples, t)
-    while not report.well_posed and t / 2.0 >= floor:
+    while not report.well_posed and t / 2.0 >= 2.0**-10:
         t /= 2.0
         report = check_nonlocal_interval(h0_samples, h1_samples, t)
     return report

@@ -48,6 +48,15 @@ def test_external_epsilon_violation():
         ge.EdgeCoefficients((), (ge.constant(1e-12),), epsilon=1e-8)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, float("nan"), -1.0, 1.0, 2.0, float("inf")])
+@pytest.mark.parametrize("with_lead", [True, False])
+def test_epsilon_outside_unit_interval_rejected(epsilon, with_lead):
+    """0 < epsilon < 1 is required, whether or not an external edge uses it."""
+    external = (ge.constant(1.0),) if with_lead else ()
+    with pytest.raises(ge.NonPositiveCoefficientError, match="epsilon"):
+        ge.EdgeCoefficients((ge.constant(1.0),), external, epsilon=epsilon)
+
+
 def test_nonpositive_profile_rejected():
     with pytest.raises(ge.NonPositiveCoefficientError):
         ge.internal_transform(ge.sampled([1.0, -0.5, 1.0]))

@@ -201,15 +201,19 @@ CRITERIA = ("check_boundary_matrices", "check_boundary_spaces",
             "check_nonlocal_interval", "auto_shrink_t0")
 
 
-@pytest.mark.parametrize("name, equation, calls", [
-    ("kirchhoff-star-heat", "heat", 1),
-    ("nonlocal-interval", "heat", 1),
-    ("dirichlet-standing-wave", "wave", 2),
-    ("kirchhoff-star-heat", "wave", 2),
-], ids=["heat-spaces", "heat-nonlocal", "wave-matrices", "wave-spaces"])
-def test_simulate_checks_well_posedness_once(tmp_path, monkeypatch, name, equation, calls):
+@pytest.mark.parametrize("command, name, equation, calls", [
+    ("simulate", "kirchhoff-star-heat", "heat", 1),
+    ("simulate", "nonlocal-interval", "heat", 1),
+    ("simulate", "dirichlet-standing-wave", "wave", 2),
+    ("simulate", "kirchhoff-star-heat", "wave", 2),
+    ("nonlocal-check", "nonlocal-interval", "heat", 1),
+], ids=["heat-spaces", "heat-nonlocal", "wave-matrices", "wave-spaces",
+        "nonlocal-check-shrinks"])
+def test_simulate_checks_well_posedness_once(tmp_path, monkeypatch, command, name, equation,
+                                             calls):
     """One outermost criterion call per simulate, in the init's gate; wave adds
-    the vertex update's own determinant on the snapped speeds."""
+    the vertex update's own determinant on the snapped speeds.  nonlocal-check
+    with --auto-shrink-t0 certifies once, even when t0 must shrink."""
     outermost, depth = [], [0]
 
     def counting(fn):
@@ -233,8 +237,11 @@ def test_simulate_checks_well_posedness_once(tmp_path, monkeypatch, name, equati
                         monkeypatch.setattr(mod, key, counted)
     text = (CONFIGS / f"{name}.cfg").read_text()
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text.replace("equation: heat", f"equation: {equation}"))
-    assert run_cli("simulate", cfg, "--output-dir", tmp_path, "--quiet") == 0
+    # t0 = 0.9 fails the Young bound, so nonlocal-check has to shrink it
+    cfg.write_text(text.replace("equation: heat", f"equation: {equation}")
+                   .replace("t0: 0.25", "t0: 0.9"))
+    shrink = ("--auto-shrink-t0",) if command == "nonlocal-check" else ()
+    assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet", *shrink) == 0
     assert len(outermost) == calls, outermost
 
 
@@ -281,6 +288,7 @@ DIRICHLET_MATRICES = (
     "bc:\n  kind: boundary_matrices\n  k0: 2\n  k1: 0\n"
     "  v0i: [[1], [0]]\n  v1i: [[0], [1]]\n")
 U0 = "{u0: {kind: sine_mode, mode: 1}}"
+ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kind: standard\n"
 
 
 @pytest.mark.parametrize("base, old, new, path", [
@@ -306,10 +314,15 @@ U0 = "{u0: {kind: sine_mode, mode: 1}}"
     (HEAT_WITH_LEAD, "{kind: constant, value: 1.0}", "{kind: sampled, values: [1]}",
      "coefficients.internal[0]"),
     ((CONFIGS / "nonlocal-interval.cfg").read_text(), "t0: 0.25", "t0: 2", "bc.t0"),
+    (ONE_VERTEX_LOOP, "vertices: 1", "vertices: true", "graph.vertices"),
+    (HEAT_WITH_LEAD, "[[a, b]]", "[[false, true]]", "graph.internal_edges[0]"),
+    (HEAT_WITH_LEAD, "vertex: a", "vertex: true", "graph.external_edges[0].vertex"),
+    (HEAT_WITH_LEAD, "coefficients:\n", "coefficients:\n  epsilon: .nan\n", "coefficients"),
 ], ids=["coefficients-list", "internal-edges-int", "external-edges-int", "initial-list",
         "initial-entry-int", "custom-samples-int", "custom-samples-short", "sine-mode-0",
         "gaussian-width-0", "length-negative", "length-0", "k0-fraction", "mode-fraction",
-        "sampled-short", "t0-above-1"])
+        "sampled-short", "t0-above-1", "vertices-bool", "internal-vertex-bool",
+        "external-vertex-bool", "epsilon-nan"])
 def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, path):
     """Bad input exits 1 with `error: <path>: ...`, never a traceback or a silent run."""
     assert old in base

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,12 @@ def test_incidence_round_trip():
         external = [int(np.argmax(inc.phi_e_minus[:, k])) for k in range(g.l)]
         assert tuple(internal) == g.internal_edges
         assert tuple(external) == g.external_edges
+        assert np.array_equal(ge.trace_stack(g),
+                              np.vstack([inc.phi_e_minus.T, inc.phi_i_minus.T, inc.phi_i_plus.T]))
+        untouched = sorted(set(range(g.n)) - {v for e in g.internal_edges for v in e}
+                           - set(g.external_edges))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ge.MetricGraph(g.n, g.internal_edges, g.external_edges)
+        assert [str(w.message) for w in caught] == (
+            [f"isolated vertices present: {untouched}"] if untouched else [])

@@ -82,6 +82,33 @@ def test_init_rejects_support_violation(star):
                      external_lengths=(5.0,))
 
 
+@pytest.mark.parametrize("velocity", [ge.zero_profile(), ge.sine_mode(2, 0.8)],
+                         ids=["at-rest", "moving"])
+def test_initial_displacement_is_f_plus_g(star, velocity):
+    """u = F + G from step 0 on.  At zero velocity F = G = u0 / 2 gives u0 bit for
+    bit, except that halving a subnormal value may round off its last bit."""
+    coeffs = ge.EdgeCoefficients((ge.constant(1.0), ge.constant(2.0)), (ge.constant(1.0),))
+    data = ge.InitialData((ge.EdgeInitial(ge.gaussian(0.5, 0.1), velocity),
+                           ge.EdgeInitial(ge.sine_mode(1, 0.5), velocity)),
+                          (ge.EdgeInitial(ge.gaussian(1.0, 0.1, length=5.0)),))
+    st = ge.wave_init(star, coeffs, kirchhoff_star_matrices(star, coeffs), data,
+                      dt_target=0.01, T=0.5, external_lengths=(5.0,))
+    u0 = [init.displacement.value(e.s)
+          for e, init in zip(st.edges(), data.external + data.internal)]
+    scale = max(np.max(np.abs(u)) for u in u0)
+    for e, u in zip(st.edges(), u0):
+        assert not e.u.imag.any()
+        if velocity.kind == "zero":
+            normal = np.abs(u) >= np.finfo(float).tiny
+            assert np.array_equal(e.u.real[normal], u[normal])
+            assert np.all(np.abs(e.u.real - u) <= np.finfo(float).smallest_subnormal)
+        else:
+            assert np.max(np.abs(e.u.real - u)) <= 1e-15 * scale
+    h = [e.h for e in st.edges()]
+    trapezoid = sum(hj * (u.sum() - 0.5 * (u[0] + u[-1])) for hj, u in zip(h, u0))
+    assert mass(st) == pytest.approx(trapezoid, rel=1e-14)
+
+
 def test_zero_data_stays_zero(interval):
     init = ge.InitialData((ge.EdgeInitial(ge.zero_profile()),), ())
     st = ge.wave_init(interval, ge.unit_coefficients(1), dirichlet_interval_bc(),
