@@ -128,6 +128,8 @@ def _matrix(value, rows, cols, path) -> np.ndarray:
 def _parse_graph(section, path="graph"):
     vertices = _require(section, "vertices", path)
     if isinstance(vertices, int) and not isinstance(vertices, bool):
+        if vertices < 0:
+            _fail(f"{path}.vertices", f"vertex count must not be negative, got {vertices}")
         names = tuple(f"v{i}" for i in range(vertices))
     elif isinstance(vertices, list) and all(isinstance(v, str) for v in vertices):
         names = tuple(vertices)

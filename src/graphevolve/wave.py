@@ -14,7 +14,10 @@ ring head of every edge: node i of the left-moving p and G sits at ring slot
 (i + k) mod size, node i of the right-moving q and F at (i - k) mod size.  A
 step therefore moves no interior data; it gathers and scatters only the
 l + 2m vertex slots, vectorized over all edges, and costs O(vertices) rather
-than O(cells).  Grid-order arrays (and u = F + G) are built only when read.
+than O(cells).  The vertex map of a step is one product with the scattering
+matrix that ``vertex_update_matrix`` builds once per run.  Grid-order arrays
+(and u = F + G) are built only when read: per edge by ``WaveEdgeFields``, and
+for all edges at once, one concatenation per field, by a recorded snapshot.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
               bc: BoundaryMatricesBC | BoundarySpacesBC,
               init: InitialData, dt_target: float, T: float,
               snap_tol: float = 0.05, external_lengths=()) -> WaveState:
-    """Build a wave state with snapped per-edge grids and a vertex solve.
+    """Build a wave state with snapped per-edge grids and a vertex scattering matrix.
 
     Refuses nonlocal kernels and boundary conditions that fail the criterion
     of their form (``require_well_posed``); boundary spaces are then
@@ -307,8 +310,30 @@ def mass(state: WaveState) -> float:
 
 
 def _snapshot(state: WaveState):
-    edges = state.edges()
-    return state.t, [e.u for e in edges], [(e.p + e.q) / 2.0 for e in edges]
+    """(t, per-edge u, per-edge u_t) in grid order, built for all edges at once.
+
+    The same arithmetic as ``WaveEdgeFields``: u = F + G and u_t = (p + q) / 2.
+    Each edge's arrays are views into one array per field.  Slices, unlike an
+    index gather, need no per-node index arrays, so a record's peak memory is
+    about its output.
+    """
+    k = state.step_count
+    start, end = state.start.tolist(), (state.start + state.size).tolist()
+
+    def grid_order(packed, shift):
+        """Every ring in grid order, node i read from slot (i + shift) % size: a ring
+        unrolls as its slices from the head to its end and from its start to the head."""
+        heads = (state.start + shift % state.size).tolist()
+        return np.concatenate([piece for a, h, b in zip(start, heads, end)
+                               for piece in (packed[h:b], packed[a:h])])
+
+    u = grid_order(state.fwd, -k)
+    u += grid_order(state.bwd, k)
+    ut = grid_order(state.p, k)
+    ut += grid_order(state.q, -k)
+    ut /= 2.0
+    return (state.t, [u[a:b] for a, b in zip(start, end)],
+            [ut[a:b] for a, b in zip(start, end)])
 
 
 def wave_run(state: WaveState, T: float, record_stride: int = 1):

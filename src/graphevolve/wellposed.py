@@ -24,11 +24,11 @@ block, the whole matrix.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import splu
 
 from .bc import BoundaryMatricesBC, BoundarySpacesBC, space_blocks, vertex_blocks
 from .coeffs import EdgeCoefficients
@@ -50,26 +50,29 @@ _INDEPENDENCE_NOTE = ("verdict independent of U-terms and B-operators: the crite
 
 @dataclass(frozen=True)
 class VertexUpdate:
-    """Factorized coupling of outgoing to incoming characteristic values.
+    """The vertex scattering map from incoming to outgoing characteristic values.
 
     Outgoing order: (q_e(0), p_i(1), q_i(0)); incoming: (p_e(0), q_i(1), p_i(0)).
-    The update solves  m_out @ x = -(m_in @ y + u_rhs @ value_trace).
-    ``m_out`` (CSC) and ``m_in`` (CSR) hold one block per vertex; ``u_rhs``
-    (CSR) holds the zeroth-order terms and is empty without them; ``lu`` is
-    the SuperLU factor of ``m_out``.  Nothing here changes after
-    construction, so a deep copy shares it.
+    The update is  x = scattering @ y + value_map @ value_trace: the solution
+    of  m_out @ x = -(m_in @ y + u_rhs @ value_trace)  with m_in the criterion
+    matrix with its rows halved, m_out the same with its flux rows negated,
+    and u_rhs the zeroth-order rows.  ``scattering`` (CSR) holds one block
+    per vertex; ``value_map`` (CSR) is None without zeroth-order terms.
+    ``m_out`` (CSR) is kept as the matrix the update inverts.  Nothing here
+    changes after construction, so a deep copy shares it.
     """
 
-    m_out: scipy.sparse.csc_array
-    m_in: scipy.sparse.csr_array
-    lu: object
-    u_rhs: scipy.sparse.csr_array
+    m_out: scipy.sparse.csr_array
+    scattering: scipy.sparse.csr_array
+    value_map: scipy.sparse.csr_array | None
 
     def solve(self, incoming: np.ndarray, value_trace: np.ndarray) -> np.ndarray:
-        rhs = -(self.m_in @ incoming + self.u_rhs @ value_trace)
-        if not np.isfinite(rhs).all():
+        outgoing = self.scattering @ incoming
+        if self.value_map is not None:
+            outgoing = outgoing + self.value_map @ value_trace
+        if not np.isfinite(outgoing).all():
             raise ValueError("array must not contain infs or NaNs")
-        return self.lu.solve(rhs)
+        return outgoing
 
     def __deepcopy__(self, memo):
         return self
@@ -209,14 +212,29 @@ def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
     )
 
 
+def _block_matrix(groups, dim: int) -> scipy.sparse.csr_array:
+    """A sparse dim x dim matrix from stacked blocks.
+
+    Each group is (rows, cols, values) of shapes (count, n), (count, n) and
+    (count, n, n): block b puts values[b, i, j] at (rows[b, i], cols[b, j]).
+    """
+    r, c, v = zip(*((np.broadcast_to(rows[:, :, None], values.shape).ravel(),
+                     np.broadcast_to(cols[:, None, :], values.shape).ravel(),
+                     values.ravel()) for rows, cols, values in groups))
+    return scipy.sparse.csr_array((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                                  shape=(dim, dim))
+
+
 def vertex_update_matrix(bc: BoundaryMatricesBC,
                          coeffs: EdgeCoefficients | None = None) -> VertexUpdate:
-    """Outgoing/incoming characteristic coupling matrices with a SuperLU factor.
+    """The vertex scattering matrix of the wave step, built once per run.
 
-    ``m_out`` and ``m_in`` are the criterion matrix with its rows halved
-    (flux rows negated in ``m_out``), one block per vertex, so ``m_out``
-    factors without fill between vertices.  Raises SingularUpdateError
-    exactly when the determinant criterion fails:
+    A criterion block B whose rows are signed by D (+1 on value rows, -1 on
+    flux rows) scatters by S_b = -(D B)^-1 B, and the blocks of one size are
+    solved in one stacked ``np.linalg.solve``.  Zeroth-order rows add the
+    value map -m_out^-1 @ u_rhs, whose blocks are -2 (D B)^-1; it is built
+    only when ``u_rows`` has nonzeros.  Raises SingularUpdateError exactly
+    when the determinant criterion fails:
     det(m_out) = (1/2)^(l+2m) * (-1)^k1 * det(criterion matrix).
     """
     report = check_boundary_matrices(bc, coeffs)
@@ -225,19 +243,27 @@ def vertex_update_matrix(bc: BoundaryMatricesBC,
             f"vertex update matrix is singular (sigma_min = {report.sigma_min:.3e})"
         )
     dim, k0 = bc.trace_dim, bc.k0
-    rows, cols, vals = zip(*((np.repeat(r, c.size), np.tile(c, r.size), b.ravel())
-                             for r, c, b in _criterion_blocks(bc, coeffs)))
-    rows, cols, half = np.concatenate(rows), np.concatenate(cols), 0.5 * np.concatenate(vals)
-    m_out = scipy.sparse.csc_array((np.where(rows < k0, half, -half), (rows, cols)),
-                                   shape=(dim, dim))
-    m_in = scipy.sparse.csr_array((half, (rows, cols)), shape=(dim, dim))
-    r, c = np.nonzero(bc.u_rows)
-    u_rhs = scipy.sparse.csr_array((bc.u_rows[r, c], (k0 + r, c)), shape=(dim, dim))
-    try:
-        lu = splu(m_out)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SingularUpdateError(f"vertex update matrix is singular ({exc})") from exc
-    return VertexUpdate(m_out, m_in, lu, u_rhs)
+    by_size = defaultdict(list)
+    for block in _criterion_blocks(bc, coeffs):
+        by_size[block[1].size].append(block)
+    u_r, u_c = np.nonzero(bc.u_rows)
+    m_out, scattering, minus_inverse = [], [], []
+    for group in by_size.values():
+        rows, cols, blocks = (np.stack(a) for a in zip(*group))
+        signed = np.where(rows < k0, 1.0, -1.0)[:, :, None] * blocks  # D B
+        m_out.append((rows, cols, 0.5 * signed))
+        try:
+            scattering.append((cols, cols, -np.linalg.solve(signed, blocks)))
+            if u_r.size:
+                minus_inverse.append((cols, rows, -2.0 * np.linalg.inv(signed)))
+        except np.linalg.LinAlgError as exc:  # an exactly singular block
+            raise SingularUpdateError(f"vertex update matrix is singular ({exc})") from exc
+    value_map = None
+    if u_r.size:
+        u_rhs = scipy.sparse.csr_array((bc.u_rows[u_r, u_c], (k0 + u_r, u_c)),
+                                       shape=(dim, dim))
+        value_map = _block_matrix(minus_inverse, dim) @ u_rhs
+    return VertexUpdate(_block_matrix(m_out, dim), _block_matrix(scattering, dim), value_map)
 
 
 def _abs_l1_restricted(samples: np.ndarray, t0: float, reflected: bool) -> float:

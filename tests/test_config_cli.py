@@ -315,14 +315,15 @@ ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kin
      "coefficients.internal[0]"),
     ((CONFIGS / "nonlocal-interval.cfg").read_text(), "t0: 0.25", "t0: 2", "bc.t0"),
     (ONE_VERTEX_LOOP, "vertices: 1", "vertices: true", "graph.vertices"),
+    (ONE_VERTEX_LOOP, "vertices: 1", "vertices: -1", "graph.vertices"),
     (HEAT_WITH_LEAD, "[[a, b]]", "[[false, true]]", "graph.internal_edges[0]"),
     (HEAT_WITH_LEAD, "vertex: a", "vertex: true", "graph.external_edges[0].vertex"),
     (HEAT_WITH_LEAD, "coefficients:\n", "coefficients:\n  epsilon: .nan\n", "coefficients"),
 ], ids=["coefficients-list", "internal-edges-int", "external-edges-int", "initial-list",
         "initial-entry-int", "custom-samples-int", "custom-samples-short", "sine-mode-0",
         "gaussian-width-0", "length-negative", "length-0", "k0-fraction", "mode-fraction",
-        "sampled-short", "t0-above-1", "vertices-bool", "internal-vertex-bool",
-        "external-vertex-bool", "epsilon-nan"])
+        "sampled-short", "t0-above-1", "vertices-bool", "vertices-negative",
+        "internal-vertex-bool", "external-vertex-bool", "epsilon-nan"])
 def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, path):
     """Bad input exits 1 with `error: <path>: ...`, never a traceback or a silent run."""
     assert old in base

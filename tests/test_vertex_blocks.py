@@ -168,3 +168,22 @@ def test_heat_dispatches_on_the_partition(compact_star):
     paths = [ge.heat_init(compact_star, coeffs, bc, init, dt=1e-3, n_per_edge=20).path
              for bc in (tagged, dataclasses.replace(tagged, partition=None))]
     assert paths == ["continuity", "matrices"]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_scattering_matrix_is_an_involution(builder):
+    """S = -(D C)^-1 C = -C^-1 D C squares to the identity, and zeroth-order rows
+    add a value map exactly when they are nonzero."""
+    rng = np.random.default_rng({"standard": 1, "delta": 2, "nonlocal_matrices": 3}[builder])
+    has_value_map = []
+    for _ in range(25):
+        g = random_graph(rng)
+        coeffs = random_coeffs(rng, g)
+        matrices = ge.to_boundary_matrices(local_condition(rng, g, coeffs, builder), g.l, g.m)
+        update = ge.vertex_update_matrix(matrices, coeffs)
+        s = update.scattering.toarray()
+        gap = np.linalg.norm(s @ s - np.eye(g.trace_dim), 2)
+        assert gap <= 1e-12 * max(1.0, np.linalg.norm(s, 2) ** 2)
+        assert (update.value_map is None) == (not matrices.u_rows.any())
+        has_value_map.append(update.value_map is not None)
+    assert set(has_value_map) == {builder != "standard"}  # delta and coupling matrices add U

@@ -6,7 +6,7 @@ import pytest
 
 import graphevolve as ge
 from conftest import dirichlet_interval_bc, periodic_loop_bc, star3_bc
-from graphevolve.wave import energy, mass
+from graphevolve.wave import _snapshot, energy, mass
 
 
 def kirchhoff_star_matrices(g, coeffs):
@@ -243,8 +243,7 @@ def reference_step(fields, n_external, update, dt):
                                [e["p"][0] for e in internal]])
     values = np.concatenate([[e["u"][0] for e in external], [e["u"][0] for e in internal],
                              [e["u"][-1] for e in internal]])
-    rhs = -(update.m_in @ incoming + update.u_rhs @ values)
-    outgoing = update.lu.solve(rhs)
+    outgoing = update.solve(incoming, values)
     l, m = len(external), len(internal)
     for k, e in enumerate(external):
         e["q"][0] = outgoing[k]
@@ -308,6 +307,29 @@ def test_packed_rings_match_per_edge_reference(star):
         ge.wave_step(twin)
     assert ring_bytes(st) == before and st.step_count == 200
     assert ring_bytes(twin) != before
+
+
+def test_snapshot_matches_the_edge_fields(star):
+    """The all-edge snapshot equals the per-edge readers byte for byte, after every
+    ring has wrapped several times, and shares no memory with the state."""
+    coeffs = ge.EdgeCoefficients((ge.constant(1.0), ge.constant(4.0)), (ge.constant(1.0),))
+    init = ge.InitialData(
+        (ge.EdgeInitial(ge.gaussian(0.4, 0.1), ge.sine_mode(1, 0.5)),
+         ge.EdgeInitial(ge.gaussian(0.6, 0.1, amplitude=-0.7))),
+        (ge.EdgeInitial(ge.zero_profile(length=2.0)),))
+    st = ge.wave_init(star, coeffs, star3_bc(delta=0.5), init, dt_target=1 / 20, T=10.0,
+                      external_lengths=(2.0,))
+    sizes = [e.s.size for e in st.edges()]
+    for step in range(1, 4 * max(sizes) + 8):
+        ge.wave_step(st)
+        if step % 13:
+            continue
+        t, u, ut = _snapshot(st)
+        assert t == st.t
+        assert [a.tobytes() for a in u] == [e.u.tobytes() for e in st.edges()]
+        assert [a.tobytes() for a in ut] == [((e.p + e.q) / 2).tobytes() for e in st.edges()]
+        for a in u + ut:
+            assert not any(np.shares_memory(a, f) for f in (st.fwd, st.bwd, st.p, st.q))
 
 
 def test_boundary_spaces_and_matrices_step_identically(star):

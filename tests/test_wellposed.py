@@ -92,6 +92,34 @@ def test_vertex_update_singular():
         ge.vertex_update_matrix(bad, ge.unit_coefficients(1))
 
 
+def test_kirchhoff_scattering_matrix(compact_star):
+    """A Kirchhoff vertex of degree d with equal speeds scatters by (2/d) 11^T - I."""
+    coeffs = ge.unit_coefficients(3)
+    bc = ge.to_boundary_matrices(ge.from_standard(compact_star, coeffs), 0, 3)
+    upd = ge.vertex_update_matrix(bc, coeffs)
+    # criterion columns (f_0(1), f_1(1), f_2(1), f_0(0), f_1(0), f_2(0)): the center
+    # owns f_0(1), f_1(0) and f_2(0); a leaf, Kirchhoff of degree 1, reflects by +1
+    expected = np.eye(6)
+    expected[np.ix_([0, 4, 5], [0, 4, 5])] = [[-1 / 3, 2 / 3, 2 / 3],
+                                               [2 / 3, -1 / 3, 2 / 3],
+                                               [2 / 3, 2 / 3, -1 / 3]]
+    assert np.max(np.abs(upd.scattering.toarray() - expected)) <= 1e-14
+    assert upd.value_map is None
+
+
+def test_vertex_update_rejects_non_finite_traces():
+    upd = ge.vertex_update_matrix(star3_bc(delta=0.5), ge.unit_coefficients(2, 1))
+    assert upd.value_map is not None
+    incoming, values = np.ones(5, dtype=complex), np.ones(5, dtype=complex)
+    assert np.isfinite(upd.solve(incoming, values)).all()
+    incoming[3] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        upd.solve(incoming, values)
+    values[4] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        upd.solve(np.ones(5, dtype=complex), values)
+
+
 def test_checker_update_equivalence_random():
     rng = np.random.default_rng(42)
     for _ in range(200):
