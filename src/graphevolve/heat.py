@@ -5,7 +5,7 @@ Boundary conditions enter as rows of the implicit system:
 
 * matrices form -- value rows on trace nodes, derivative rows via
   second-order one-sided stencils, U-terms on trace nodes;
-* spaces form whose every vertex block (``bc.partition``) is continuity
+* spaces form whose every vertex block (``bc.groups``) is continuity
   plus Kirchhoff flux balance, as from the standard, delta and
   nonlocal-matrices builders -- continuity rows plus one conservative
   half-cell balance row per vertex, which conserve discrete mass exactly for
@@ -31,7 +31,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, space_blocks, to_boundary_matrices
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, SingularSystemError
 from .graph import MetricGraph
@@ -259,17 +259,19 @@ def _is_kirchhoff(bc: BoundarySpacesBC) -> bool:
     A block qualifies if its Y1 is one column, constant on the block's slots,
     and its Y0 columns have vanishing mu-weighted sums (to within
     100 * deg * eps of the largest mu-weighted entry): flux trace in Y0 then
-    says that the lambda-weighted outward derivatives sum to zero.  Needs
-    the vertex partition and the endpoint speeds.
+    says that the lambda-weighted outward derivatives sum to zero.  Needs a
+    partitioned condition and the endpoint speeds.
     """
-    if bc.partition is None or bc.mu_endpoints is None:
+    if not bc.partitioned or bc.mu_endpoints is None:
         return False
     eps = np.finfo(float).eps
-    for slots, y1, y0 in space_blocks(bc):
-        mu = bc.mu_endpoints[slots]
-        weighted = np.abs(mu[:, None] * y0).max(initial=0.0)
-        if y1.shape[1] != 1 or np.any(y1 != y1[0]) or \
-                np.any(np.abs(mu @ y0) > 100 * slots.size * eps * weighted):
+    for g in bc.groups:
+        y1, y0 = g.value_block, g.flux_block
+        mu = bc.mu_endpoints[g.slots]
+        weighted = np.abs(mu[:, :, None] * y0).max(axis=(1, 2), initial=0.0)
+        sums = np.abs(mu[:, None, :] @ y0)[:, 0, :]
+        if y1.shape[2] != 1 or np.any(y1 != y1[:, :1]) or \
+                np.any(sums > 100 * g.slots.shape[1] * eps * weighted[:, None]):
             return False
     return True
 
@@ -294,20 +296,21 @@ def _assemble_vertex_rows(a, b, row, bc: BoundarySpacesBC, node, inward, h, lam_
                           dt, theta):
     """Continuity rows plus one conservative half-cell flux balance row per vertex.
 
-    The vertices are the blocks of ``bc.partition``.  Each slot of a block
-    but the first gets a row equating its value with the first slot's; then
-    each block gets one balance row over the half cells at its slots.
+    The vertices are the blocks of `bc`.  Each slot of a block but the first
+    gets a row equating its value with the first slot's; then each block gets
+    one balance row over the half cells at its slots.
     """
-    slots = bc.partition.slots
-    sizes = np.array([s.size for s in slots])
-    rest = np.concatenate([s[1:] for s in slots])
+    sizes = np.concatenate([np.full(g.slots.shape[0], g.slots.shape[1]) for g in bc.groups])
+    order = np.concatenate([g.slots.ravel() for g in bc.groups])  # block after block
+    first = np.cumsum(sizes) - sizes  # where each block starts in `order`
+    rest = np.delete(order, first)
     rows = row + np.arange(rest.size)
     a.add(rows, node[rest], 1.0)
-    a.add(rows, node[np.repeat([s[0] for s in slots], sizes - 1)], -1.0)
+    a.add(rows, node[np.repeat(order[first], sizes - 1)], -1.0)
     row += rest.size
 
-    order = np.concatenate(slots)
-    rows = row + np.repeat(np.arange(len(slots)), sizes)
+    block = np.repeat(np.arange(sizes.size), sizes)
+    rows = row + block
     tr, adj = node[order], node[order] + inward[order]
     cap = 0.5 * h[order] / dt
     flux = lam_half[order] / h[order]
@@ -315,14 +318,16 @@ def _assemble_vertex_rows(a, b, row, bc: BoundarySpacesBC, node, inward, h, lam_
     a.add(rows, adj, -theta * flux)
     b.add(rows, tr, cap - (1.0 - theta) * flux)
     b.add(rows, adj, (1.0 - theta) * flux)
-    if bc.local_U is not None:
-        # zeroth-order source: the flux sum at a vertex equals src @ trace values
-        for r, s in enumerate(slots, start=row):
-            src = bc.mu_endpoints[s] @ bc.local_U[s]
-            nonzero = np.flatnonzero(src)
-            a.add(r, node[nonzero], -theta * src[nonzero])
-            b.add(r, node[nonzero], (1.0 - theta) * src[nonzero])
-    return row + len(slots)
+    if bc.sparse_U is not None:
+        # zeroth-order source: the flux sum at a vertex equals src @ trace values,
+        # src the mu-weighted sum of the vertex's local_U rows
+        src = scipy.sparse.csr_array((bc.mu_endpoints[order], (block, order)),
+                                     shape=(sizes.size, bc.trace_dim)) @ bc.sparse_U
+        src.sort_indices()
+        src = src.tocoo()
+        a.add(row + src.row, node[src.col], -theta * src.data)
+        b.add(row + src.row, node[src.col], (1.0 - theta) * src.data)
+    return row + sizes.size
 
 
 def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, node, inward, h):

@@ -31,6 +31,7 @@ from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
 from .coeffs import EdgeCoefficients, constant
 from .errors import (
     DimensionMismatchError,
+    SingularUpdateError,
     SpeedSnapExceededError,
     SupportViolationError,
     UnsupportedNonlocalConditionError,
@@ -177,10 +178,12 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     """Build a wave state with snapped per-edge grids and a vertex scattering matrix.
 
     Refuses nonlocal kernels and boundary conditions that fail the criterion
-    of their form (``require_well_posed``); boundary spaces are then
-    converted to boundary matrices.  Also refuses variable coefficients,
-    excessive speed snapping, and external initial data that would reach the
-    truncation cut before time T.
+    of their form (``require_well_posed``) at the given speeds; boundary
+    spaces are then converted to boundary matrices.  Also refuses variable
+    coefficients, excessive speed snapping, and external initial data that
+    would reach the truncation cut before time T.  Raises
+    SingularUpdateError if the Determinant criterion fails at the snapped
+    speeds; a matrices form whose speeds snap exactly is decided once.
     """
     coeffs.validate_against(g.m, g.l)
     if len(init.internal) != g.m or len(init.external) != g.l:
@@ -191,7 +194,7 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
         raise UnsupportedNonlocalConditionError(
             "the wave propagator does not support nonlocal kernels"
         )
-    require_well_posed(bc, coeffs)
+    criterion = require_well_posed(bc, coeffs)
     if isinstance(bc, BoundarySpacesBC):
         bc = to_boundary_matrices(bc, g.l, g.m)
 
@@ -228,8 +231,17 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
         grids.append(s)
 
     squares = [constant(x**2) for x in mu.tolist()]
-    update = vertex_update_matrix(bc, EdgeCoefficients(tuple(squares[g.l:]),
-                                                       tuple(squares[:g.l])))
+    snapped = EdgeCoefficients(tuple(squares[g.l:]), tuple(squares[:g.l]))
+    if criterion is not None and not np.array_equal(snapped.mu_endpoint_diagonals(),
+                                                    coeffs.mu_endpoint_diagonals()):
+        criterion = None  # decided again, at the speeds the run simulates
+    try:
+        update = vertex_update_matrix(bc, snapped, criterion)
+    except SingularUpdateError as exc:
+        given = [_constant_speed(p) for p in coeffs.external + coeffs.internal]
+        moved = ", ".join(f"edge {e}: {c:.6g} -> {mu[e]:.6g}"
+                          for e, c in enumerate(given) if c != mu[e])
+        raise SingularUpdateError(f"{exc} at the snapped wave speeds ({moved})") from exc
     return WaveState(g, 0.0, dt, update, tuple(grids), mu, start, size, *packed)
 
 
@@ -253,15 +265,18 @@ def wave_step(state: WaveState) -> None:
     slots = state.start + (k * _RING_SIGN + _RING_OFFSET) % state.size
     # after the step p, G end where node 0 is now, and q, F start where the last node is
     left0, left_end, left0_next, right0, right_end, right_end_next = slots
-    # u = F + G at (right0, left0) and at (right_end, left_end)
-    u_start, u_end = fwd[slots[3:5]] + bwd[slots[0:2]]
     old_q0 = q[right0]
     old_p_end = p[left_end]
 
     # the shift has already moved the old p(1) to p(0) and the old q(end - 1) to q(end)
     new_p0 = p[left0_next]
     incoming = np.concatenate((new_p0[:l], q[right_end_next[l:]], new_p0[l:]))
-    outgoing = state.update.solve(incoming, np.concatenate((u_start, u_end[l:])))
+    values = None
+    if state.update.value_map is not None:
+        # u = F + G at (right0, left0) and at (right_end, left_end)
+        u_start, u_end = fwd[slots[3:5]] + bwd[slots[0:2]]
+        values = np.concatenate((u_start, u_end[l:]))
+    outgoing = state.update.solve(incoming, values)
 
     # nothing returns from beyond the truncation cut of an external edge
     p_end = np.concatenate((np.zeros(l, dtype=complex), outgoing[l:l + m]))

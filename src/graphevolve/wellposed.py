@@ -14,23 +14,23 @@ that fits the form of a boundary condition:
 "Nonzero determinant" is always decided through singular values after row
 equilibration; raw determinants are reported as evidence only.
 
-Both local criteria are computed per vertex block (``bc.vertex_blocks``).  The
-criterion matrix and the stacked basis are block-diagonal up to row and
-column permutations, and row equilibration is row-local, so their singular
-values are those of the blocks together and the determinant is the signed
-product of the block determinants.  A condition without a partition is one
+Both local criteria are computed on the vertex blocks of the condition
+(``bc.groups``), one stacked numpy call per block shape.  The criterion
+matrix and the stacked basis are block-diagonal up to row and column
+permutations, and row equilibration is row-local, so their singular values
+are those of the blocks together and the determinant is the signed product
+of the block determinants.  A condition given as dense arrays is one
 block, the whole matrix.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, space_blocks, vertex_blocks
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, block_matrix
 from .coeffs import EdgeCoefficients
 from .errors import (
     BadT0Error,
@@ -57,16 +57,17 @@ class VertexUpdate:
     of  m_out @ x = -(m_in @ y + u_rhs @ value_trace)  with m_in the criterion
     matrix with its rows halved, m_out the same with its flux rows negated,
     and u_rhs the zeroth-order rows.  ``scattering`` (CSR) holds one block
-    per vertex; ``value_map`` (CSR) is None without zeroth-order terms.
-    ``m_out`` (CSR) is kept as the matrix the update inverts.  Nothing here
-    changes after construction, so a deep copy shares it.
+    per vertex; ``value_map`` (CSR) is None without zeroth-order terms, and
+    then ``solve`` does not read the value trace.  ``m_out`` (CSR) is kept as
+    the matrix the update inverts.  Nothing here changes after construction,
+    so a deep copy shares it.
     """
 
     m_out: scipy.sparse.csr_array
     scattering: scipy.sparse.csr_array
     value_map: scipy.sparse.csr_array | None
 
-    def solve(self, incoming: np.ndarray, value_trace: np.ndarray) -> np.ndarray:
+    def solve(self, incoming: np.ndarray, value_trace: np.ndarray | None) -> np.ndarray:
         outgoing = self.scattering @ incoming
         if self.value_map is not None:
             outgoing = outgoing + self.value_map @ value_trace
@@ -99,42 +100,40 @@ def _sigma_tol(dim: int) -> float:
     return dim * 1e-12
 
 
-def _equilibrated_sigmas(m: np.ndarray) -> tuple[float, float]:
-    """Smallest/largest singular values after scaling rows to unit inf-norm."""
-    peak = np.abs(m).max(axis=1, initial=0.0)
-    peak[peak == 0.0] = 1.0
-    s = np.linalg.svd(m / peak[:, None], compute_uv=False)
-    return float(s[-1]), float(s[0])
-
-
-def _block_sigmas(blocks) -> tuple[float, float]:
-    """Smallest and largest equilibrated singular value over all the blocks."""
-    sigmas = [_equilibrated_sigmas(b) for b in blocks]
-    return min(lo for lo, _ in sigmas), max(hi for _, hi in sigmas)
+def _block_sigmas(stacks) -> tuple[float, float]:
+    """Smallest and largest singular value over stacked square blocks,
+    each row scaled to unit inf-norm first."""
+    smin, smax = np.inf, 0.0
+    for m in stacks:
+        peak = np.abs(m).max(axis=2, initial=0.0)
+        peak[peak == 0.0] = 1.0
+        s = np.linalg.svd(m / peak[:, :, None], compute_uv=False)
+        smin, smax = min(smin, float(s[:, -1].min())), max(smax, float(s[:, 0].max()))
+    return smin, smax
 
 
 def _permutation_sign(p: np.ndarray) -> int:
-    """+1 for an even permutation of 0..n-1, -1 for an odd one."""
-    p = p.tolist()
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        length = 0
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-            length += 1
-        if length % 2 == 0 and length:
-            sign = -sign
-    return sign
+    """+1 for an even permutation of 0..n-1, -1 for an odd one: (-1)^(n - cycles).
+
+    Each element's label becomes the least element of its cycle after
+    log2(n) rounds of pointer doubling.
+    """
+    label, jump = np.arange(p.size), p
+    for _ in range(p.size.bit_length()):
+        label, jump = np.minimum(label, label[jump]), jump[jump]
+    return -1 if (p.size - np.unique(label).size) % 2 else 1
 
 
 def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None):
     """Vertex blocks of the criterion matrix [V; W C], columns (f_e(0), f_i(1), f_i(0)).
 
-    Yields (rows, cols, block): the rows and the ascending columns of the
-    block in the full criterion matrix, and the dense block.
+    Returns one (rows, cols, blocks) per block group of `bc`: the rows and
+    the ascending columns of each block in the full criterion matrix, and
+    the stacked dense blocks.
     """
+    if bc.k0 + bc.k1 != bc.trace_dim:
+        raise DimensionMismatchError(f"k0 + k1 = {bc.k0 + bc.k1} must equal "
+                                     f"l + 2m = {bc.trace_dim}")
     if coeffs is not None:
         coeffs.validate_against(bc.m, bc.l)
         speeds = coeffs.mu_endpoint_diagonals()
@@ -143,32 +142,27 @@ def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None):
     l, m = bc.l, bc.m
     # criterion column of each trace slot: the f_i(1) columns come before f_i(0)
     column = np.concatenate([np.arange(l), l + m + np.arange(m), l + np.arange(m)])
-    part = vertex_blocks(bc)
-    for slots, value, flux in zip(part.slots, part.value, part.flux):
-        order = slots[np.argsort(column[slots])]  # the block's slots in column order
-        block = np.vstack([bc.v_rows[np.ix_(value, order)],
-                           bc.w_rows[np.ix_(flux, order)] / speeds[order]])
-        yield np.concatenate([value, bc.k0 + flux]), column[order], block
+    out = []
+    for g in bc.groups:
+        order = np.argsort(column[g.slots], axis=1)  # each block's slots in column order
+        slots = np.take_along_axis(g.slots, order, axis=1)
+        order = order[:, None, :]
+        blocks = np.concatenate([np.take_along_axis(g.value_block, order, axis=2),
+                                 np.take_along_axis(g.flux_block, order, axis=2)
+                                 / speeds[slots][:, None, :]], axis=1)
+        out.append((np.concatenate([g.value, bc.k0 + g.flux], axis=1), column[slots], blocks))
+    return out
 
 
-def check_boundary_matrices(bc: BoundaryMatricesBC,
-                            coeffs: EdgeCoefficients | None = None) -> WellPosednessReport:
-    """Determinant criterion for the matrices form.
-
-    Well-posed iff the speed-normalized block matrix is invertible, decided by
-    sigma_min > tol * sigma_max after row equilibration; the raw determinant is
-    reported as evidence.  U rows never influence the verdict.  Nothing is
-    factored here; ``vertex_update_matrix`` builds the update.
-    """
-    dim = bc.trace_dim
-    if bc.k0 + bc.k1 != dim:
-        raise DimensionMismatchError(f"k0 + k1 = {bc.k0 + bc.k1} must equal l + 2m = {dim}")
-    rows, cols, blocks = zip(*_criterion_blocks(bc, coeffs))
-    det = complex(np.prod([np.linalg.det(b) for b in blocks]))
-    if _permutation_sign(np.concatenate(rows)) != _permutation_sign(np.concatenate(cols)):
+def _determinant_report(bc: BoundaryMatricesBC, criterion) -> WellPosednessReport:
+    """The Determinant verdict on the criterion blocks of `bc`."""
+    rows, cols, blocks = zip(*criterion)
+    det = complex(np.prod(np.concatenate([np.linalg.det(b) for b in blocks])))
+    if _permutation_sign(np.concatenate([r.ravel() for r in rows])) != \
+            _permutation_sign(np.concatenate([c.ravel() for c in cols])):
         det = -det
     smin, smax = _block_sigmas(blocks)
-    tol = _sigma_tol(dim)
+    tol = _sigma_tol(bc.trace_dim)
     well = smin > tol * smax
     return WellPosednessReport(
         verdict=WELL_POSED if well else NOT_WELL_POSED,
@@ -180,6 +174,19 @@ def check_boundary_matrices(bc: BoundaryMatricesBC,
         dims={"l": bc.l, "m": bc.m, "k0": bc.k0, "k1": bc.k1},
         notes=(_INDEPENDENCE_NOTE,),
     )
+
+
+def check_boundary_matrices(bc: BoundaryMatricesBC,
+                            coeffs: EdgeCoefficients | None = None) -> WellPosednessReport:
+    """Determinant criterion for the matrices form.
+
+    Well-posed iff the speed-normalized block matrix is invertible, decided by
+    sigma_min > tol * sigma_max after row equilibration; the raw determinant is
+    reported as evidence.  U rows never influence the verdict.  Nothing is
+    factored here; ``vertex_update_matrix`` builds the update from the same
+    blocks.
+    """
+    return _determinant_report(bc, _criterion_blocks(bc, coeffs))
 
 
 def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
@@ -202,7 +209,8 @@ def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
             verdict=NOT_WELL_POSED, criterion="DirectSum", tol=tol, dims=dims,
             notes=(_INDEPENDENCE_NOTE, "d0 + d1 differs from the trace dimension"),
         )
-    smin, smax = _block_sigmas(np.hstack([y0, y1]) for _, y1, y0 in space_blocks(bc))
+    smin, smax = _block_sigmas(np.concatenate([g.flux_block, g.value_block], axis=2)
+                               for g in bc.groups)
     well = smin > tol * smax
     return WellPosednessReport(
         verdict=WELL_POSED if well else NOT_WELL_POSED,
@@ -212,58 +220,45 @@ def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
     )
 
 
-def _block_matrix(groups, dim: int) -> scipy.sparse.csr_array:
-    """A sparse dim x dim matrix from stacked blocks.
-
-    Each group is (rows, cols, values) of shapes (count, n), (count, n) and
-    (count, n, n): block b puts values[b, i, j] at (rows[b, i], cols[b, j]).
-    """
-    r, c, v = zip(*((np.broadcast_to(rows[:, :, None], values.shape).ravel(),
-                     np.broadcast_to(cols[:, None, :], values.shape).ravel(),
-                     values.ravel()) for rows, cols, values in groups))
-    return scipy.sparse.csr_array((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                                  shape=(dim, dim))
-
-
-def vertex_update_matrix(bc: BoundaryMatricesBC,
-                         coeffs: EdgeCoefficients | None = None) -> VertexUpdate:
+def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None = None,
+                         criterion=None) -> VertexUpdate:
     """The vertex scattering matrix of the wave step, built once per run.
 
-    A criterion block B whose rows are signed by D (+1 on value rows, -1 on
-    flux rows) scatters by S_b = -(D B)^-1 B, and the blocks of one size are
-    solved in one stacked ``np.linalg.solve``.  Zeroth-order rows add the
-    value map -m_out^-1 @ u_rhs, whose blocks are -2 (D B)^-1; it is built
-    only when ``u_rows`` has nonzeros.  Raises SingularUpdateError exactly
-    when the determinant criterion fails:
-    det(m_out) = (1/2)^(l+2m) * (-1)^k1 * det(criterion matrix).
+    Decides the Determinant criterion on the criterion blocks and builds
+    the update from the same blocks.  `criterion`, the blocks that
+    ``require_well_posed`` found well-posed for `bc` at the same speeds, is
+    taken as decided instead.  A criterion block B whose rows are
+    signed by D (+1 on value rows, -1 on flux rows) scatters by
+    S_b = -(D B)^-1 B, and the blocks of one shape are solved in one stacked
+    ``np.linalg.solve``.  Zeroth-order rows add the value map
+    -m_out^-1 @ u_rhs, whose blocks are -2 (D B)^-1; it is built only when
+    the U rows have nonzeros.  Raises SingularUpdateError exactly when the
+    criterion fails: det(m_out) = (1/2)^(l+2m) * (-1)^k1 * det(criterion matrix).
     """
-    report = check_boundary_matrices(bc, coeffs)
-    if not report.well_posed:
-        raise SingularUpdateError(
-            f"vertex update matrix is singular (sigma_min = {report.sigma_min:.3e})"
-        )
-    dim, k0 = bc.trace_dim, bc.k0
-    by_size = defaultdict(list)
-    for block in _criterion_blocks(bc, coeffs):
-        by_size[block[1].size].append(block)
-    u_r, u_c = np.nonzero(bc.u_rows)
+    if criterion is None:
+        criterion = _criterion_blocks(bc, coeffs)
+        report = _determinant_report(bc, criterion)
+        if not report.well_posed:
+            raise SingularUpdateError(
+                f"vertex update matrix is singular (sigma_min = {report.sigma_min:.3e})")
+    dim, k0, u = bc.trace_dim, bc.k0, bc.sparse_U
     m_out, scattering, minus_inverse = [], [], []
-    for group in by_size.values():
-        rows, cols, blocks = (np.stack(a) for a in zip(*group))
+    for rows, cols, blocks in criterion:
         signed = np.where(rows < k0, 1.0, -1.0)[:, :, None] * blocks  # D B
         m_out.append((rows, cols, 0.5 * signed))
         try:
             scattering.append((cols, cols, -np.linalg.solve(signed, blocks)))
-            if u_r.size:
+            if u.nnz:
                 minus_inverse.append((cols, rows, -2.0 * np.linalg.inv(signed)))
         except np.linalg.LinAlgError as exc:  # an exactly singular block
             raise SingularUpdateError(f"vertex update matrix is singular ({exc})") from exc
     value_map = None
-    if u_r.size:
-        u_rhs = scipy.sparse.csr_array((bc.u_rows[u_r, u_c], (k0 + u_r, u_c)),
-                                       shape=(dim, dim))
-        value_map = _block_matrix(minus_inverse, dim) @ u_rhs
-    return VertexUpdate(_block_matrix(m_out, dim), _block_matrix(scattering, dim), value_map)
+    if u.nnz:
+        u = u.tocoo()
+        u_rhs = scipy.sparse.csr_array((u.data, (k0 + u.row, u.col)), shape=(dim, dim))
+        value_map = block_matrix(minus_inverse, (dim, dim)) @ u_rhs
+    return VertexUpdate(block_matrix(m_out, (dim, dim)), block_matrix(scattering, (dim, dim)),
+                        value_map)
 
 
 def _abs_l1_restricted(samples: np.ndarray, t0: float, reflected: bool) -> float:
@@ -354,16 +349,20 @@ def auto_shrink_t0(h0_samples, h1_samples, t0: float) -> WellPosednessReport:
 
 
 def require_well_posed(bc: BoundaryMatricesBC | BoundarySpacesBC,
-                       coeffs: EdgeCoefficients | None = None) -> None:
+                       coeffs: EdgeCoefficients | None = None):
     """Apply the criterion of the form of `bc`.
 
     Matrices -> Determinant (speed-normalized by `coeffs`); spaces with
     nonlocal kernels -> NonlocalYoung, halving t0 from 1 down to 2^-10;
     other spaces -> DirectSum.  Raises NotWellPosedError, with the failing
-    report on ``exc.report``, and TypeError for any other `bc`.
+    report on ``exc.report``, and TypeError for any other `bc`.  Returns the
+    criterion blocks of a matrices form, for ``vertex_update_matrix`` at the
+    same speeds, and None for a spaces form.
     """
+    criterion = None
     if isinstance(bc, BoundaryMatricesBC):
-        report = check_boundary_matrices(bc, coeffs)
+        criterion = _criterion_blocks(bc, coeffs)
+        report = _determinant_report(bc, criterion)
     elif not isinstance(bc, BoundarySpacesBC):
         raise TypeError("bc must be BoundaryMatricesBC or BoundarySpacesBC")
     elif bc.nonlocal_kernels is not None:
@@ -374,3 +373,4 @@ def require_well_posed(bc: BoundaryMatricesBC | BoundarySpacesBC,
         raise NotWellPosedError(
             f"boundary conditions fail the {report.criterion} criterion "
             f"({report.verdict})", report)
+    return criterion

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,40 @@ def random_graph(rng, max_n=8, max_m=12, max_l=4):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return ge.MetricGraph(n, internal, external)
+
+
+def random_mesh(rng, n, m, l):
+    """A connected graph: a random spanning tree on n vertices, more distinct
+    vertex pairs up to m internal edges, l external edges at distinct vertices,
+    and squared speeds drawn from {0.25, 1, 4}."""
+    edges = [(v, int(rng.integers(v))) for v in range(1, n)]
+    pairs = {frozenset(e) for e in edges}
+    while len(edges) < m:
+        a, b = (int(x) for x in rng.integers(n, size=2))
+        if a != b and frozenset((a, b)) not in pairs:
+            pairs.add(frozenset((a, b)))
+            edges.append((a, b))
+    g = ge.MetricGraph(n, edges, rng.choice(n, size=l, replace=False).tolist())
+    squares = rng.choice([0.25, 1.0, 4.0], size=m + l).tolist()
+    return g, ge.EdgeCoefficients(tuple(ge.constant(x) for x in squares[:m]),
+                                  tuple(ge.constant(x) for x in squares[m:]))
+
+
+def with_block(bc, b, **blocks):
+    """`bc` rebuilt from its vertex blocks with the ``value_block`` and/or
+    ``flux_block`` of block b (counted group after group) replaced."""
+    groups = list(bc.groups)
+    for i, group in enumerate(groups):
+        if b < group.slots.shape[0]:
+            stacks = {name: getattr(group, name).copy() for name in blocks}
+            for name, block in blocks.items():
+                stacks[name][b] = block
+            groups[i] = dataclasses.replace(group, **stacks)
+            break
+        b -= group.slots.shape[0]
+    fields = ({"m": bc.m} if isinstance(bc, ge.BoundaryMatricesBC)
+              else {"mu_endpoints": bc.mu_endpoints, "nonlocal_kernels": bc.nonlocal_kernels})
+    return type(bc).from_blocks(groups, bc.sparse_U, **fields)
 
 
 def random_coeffs(rng, g, lo=0.25, hi=4.0):

@@ -40,6 +40,7 @@ def test_standard_spans_trace_space_random():
         bc = ge.from_standard(g, random_coeffs(rng, g))
         joint = np.hstack([bc.y0_basis, bc.y1_basis])
         assert np.linalg.matrix_rank(joint) == g.trace_dim
+        assert np.array_equal(bc.y1_basis, ge.continuity_space(g))  # columns in vertex order
 
 
 def test_from_delta_zero_equals_standard(star):

@@ -197,23 +197,60 @@ def test_simulate_ill_posed_exits_two(tmp_path):
                 == (checked / "report.json").read_bytes())
 
 
+def test_simulate_decides_at_the_given_speeds(tmp_path, capsys):
+    """A wave matrices form is decided at its given speeds, as check decides
+    it; a singularity that only the snapped speeds bring is an error (exit 1).
+
+    Speeds 1 and 1.3 on a path; dt = 0.001 snaps 1.3 to 1 / 0.769.  The flux
+    row is the continuity row f_1(1) - f_2(0) times the speeds (1, c2), so the
+    criterion matrix is singular at c2 and regular at any other speed."""
+    snapped = 1.0 / (769 * (0.01 / 10))
+    for n, (c2, check, simulate) in enumerate(((1.3, 2, 2), (snapped, 0, 1))):
+        cfg = tmp_path / f"speeds{n}.cfg"
+        cfg.write_text(
+            "graph:\n  vertices: [a, b, c]\n  internal_edges: [[a, b], [b, c]]\n"
+            "coefficients:\n  internal:\n    - {kind: constant, value: 1.0}\n"
+            "    - {kind: constant, value: 1.69}\n"
+            "bc:\n  kind: boundary_matrices\n  k0: 3\n  k1: 1\n"
+            "  v0i: [[1, 0], [0, 0], [0, -1]]\n  v1i: [[0, 0], [0, 1], [1, 0]]\n"
+            f"  w0i: [[0, {-c2!r}]]\n  w1i: [[1, 0]]\n"
+            "sim:\n  equation: wave\n  T: 0.01\n  dt: 0.001\n"
+            "initial:\n  internal:\n    - {u0: {kind: sine_mode, mode: 1}}\n"
+            "    - {u0: {kind: sine_mode, mode: 1}}\n")
+        checked, simulated = tmp_path / f"check{n}", tmp_path / f"simulate{n}"
+        assert run_cli("check", cfg, "--output-dir", checked, "--quiet") == check
+        capsys.readouterr()
+        assert run_cli("simulate", cfg, "--output-dir", simulated, "--quiet") == simulate
+        if simulate == 2:
+            assert [p.name for p in simulated.iterdir()] == ["report.json"]
+            assert ((simulated / "report.json").read_bytes()
+                    == (checked / "report.json").read_bytes())
+        else:
+            assert "at the snapped wave speeds (edge 1: 1.3 -> 1.30039)" \
+                in capsys.readouterr().err
+
+
+# _determinant_report is every Determinant decision, also those of
+# require_well_posed and vertex_update_matrix
 CRITERIA = ("check_boundary_matrices", "check_boundary_spaces",
-            "check_nonlocal_interval", "auto_shrink_t0")
+            "check_nonlocal_interval", "auto_shrink_t0", "_determinant_report")
 
 
 @pytest.mark.parametrize("command, name, equation, calls", [
     ("simulate", "kirchhoff-star-heat", "heat", 1),
     ("simulate", "nonlocal-interval", "heat", 1),
-    ("simulate", "dirichlet-standing-wave", "wave", 2),
+    ("simulate", "dirichlet-standing-wave", "wave", 1),
     ("simulate", "kirchhoff-star-heat", "wave", 2),
     ("nonlocal-check", "nonlocal-interval", "heat", 1),
 ], ids=["heat-spaces", "heat-nonlocal", "wave-matrices", "wave-spaces",
         "nonlocal-check-shrinks"])
 def test_simulate_checks_well_posedness_once(tmp_path, monkeypatch, command, name, equation,
                                              calls):
-    """One outermost criterion call per simulate, in the init's gate; wave adds
-    the vertex update's own determinant on the snapped speeds.  nonlocal-check
-    with --auto-shrink-t0 certifies once, even when t0 must shrink."""
+    """One outermost criterion call per simulate and criterion: the init's
+    gate, and for a wave spaces form also the Determinant on the snapped
+    speeds; a matrices form whose speeds snap exactly is decided once.
+    nonlocal-check with --auto-shrink-t0 certifies once, even when t0 must
+    shrink."""
     outermost, depth = [], [0]
 
     def counting(fn):

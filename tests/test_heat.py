@@ -9,8 +9,9 @@ import scipy.sparse
 
 import graphevolve as ge
 from conftest import (BUILDERS, dirichlet_interval_bc, local_condition, random_coeffs,
-                      random_graph)
+                      random_graph, with_block)
 from graphevolve import heat
+from graphevolve.bc import BlockGroup
 from graphevolve.config import parse_config
 from graphevolve.graph import continuity_space
 from graphevolve.heat import energy, factorize, mass
@@ -234,8 +235,11 @@ def test_generic_y0_takes_matrices_path():
 
 def test_partitioned_dirichlet_spaces_take_matrices_path(interval):
     """A vertex partition means "local", not "Kirchhoff": Dirichlet as spaces."""
-    bc = ge.BoundarySpacesBC(np.zeros((2, 0)), np.eye(2), mu_endpoints=np.ones(2),
-                             partition=ge.VertexPartition(([0], [1]), ([], []), ([0], [1])))
+    bc = ge.BoundarySpacesBC.from_blocks(  # vertex b owns slot b and Y0 column b
+        [BlockGroup(np.array([[0], [1]]), np.zeros((2, 0), dtype=int), np.array([[0], [1]]),
+                    np.zeros((2, 1, 0), dtype=complex), np.ones((2, 1, 1), dtype=complex))],
+        None, mu_endpoints=np.ones(2))
+    assert bc.partition is not None
     init = ge.InitialData((ge.EdgeInitial(ge.gaussian(0.3, 0.1)),), ())
     st = ge.heat_init(interval, ge.unit_coefficients(1), bc, init, dt=1e-3, n_per_edge=100)
     st, _, _ = ge.heat_run(st, 0.1, record_stride=100)
@@ -252,8 +256,7 @@ def test_non_kirchhoff_blocks_take_matrices_path(compact_star):
     standard = ge.from_standard(compact_star, coeffs)
     centre = standard.partition.slots[0]
     assert list(centre) == [1, 2, 3]  # vertex 0: head of edge 0, tails of edges 1 and 2
-    value, flux = standard.partition.value[0], standard.partition.flux[0]
-    perp = standard.y0_basis[np.ix_(centre, flux)]
+    perp = standard.y0_basis[np.ix_(centre, standard.partition.flux[0])]
     rng = np.random.default_rng(7)
     init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(3)), ())
 
@@ -263,10 +266,7 @@ def test_non_kirchhoff_blocks_take_matrices_path(compact_star):
         return st
 
     def centre_block(y1_block, y0_block):
-        y1, y0 = standard.y1_basis.copy(), standard.y0_basis.copy()
-        y1[np.ix_(centre, value)] = y1_block
-        y0[np.ix_(centre, flux)] = y0_block
-        return dataclasses.replace(standard, y1_basis=y1, y0_basis=y0)
+        return with_block(standard, 0, value_block=y1_block, flux_block=y0_block)
 
     for bc in (centre_block(np.ones((3, 1)), rng.standard_normal((3, 2))),
                centre_block(np.array([[1.0], [2.0], [3.0]]), perp)):
@@ -403,7 +403,7 @@ def test_matrix_rows_match_per_entry_reference(monkeypatch, builder, n_per_edge)
             continue
         cases += 1
         coeffs = random_coeffs(rng, g)
-        bc = dataclasses.replace(local_condition(rng, g, coeffs, builder), partition=None)
+        bc = dataclasses.replace(local_condition(rng, g, coeffs, builder))  # one dense block
         init = ge.InitialData(
             tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(g.m)),
             tuple(ge.EdgeInitial(ge.gaussian(0.3, 0.1, length=1.5)) for _ in range(g.l)))

@@ -7,13 +7,16 @@ whole stacked basis or criterion matrix, and a dense LU of ``m_out``.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import graphevolve as ge
-from conftest import BUILDERS, local_condition, random_coeffs, random_graph
+from conftest import (BUILDERS, local_condition, random_coeffs, random_graph, random_mesh,
+                      with_block)
+from graphevolve.bc import BlockGroup
 
 
 def reference_spaces(bc):
@@ -31,10 +34,25 @@ def reference_to_matrices(bc, l, m):
     return ge.BoundaryMatricesBC(r_val, r_flux * bc.mu_endpoints, u_rows, m)
 
 
-def equilibrated_verdict(a):
+def equilibrated_sigmas(a):
     scaled = a / np.maximum(np.abs(a).max(axis=1), 1e-300)[:, None]
     s = np.linalg.svd(scaled, compute_uv=False)
-    return s[-1] > a.shape[0] * 1e-12 * s[0]
+    return s[-1], s[0]
+
+
+def equilibrated_verdict(a):
+    smin, smax = equilibrated_sigmas(a)
+    return smin > a.shape[0] * 1e-12 * smax
+
+
+def assert_report_matches_dense(report, a, det=None):
+    """σ_min, σ_max (and det) of `report` against one SVD (and LU) of the dense `a`."""
+    smin, smax = equilibrated_sigmas(a)
+    assert abs(report.sigma_min - smin) <= 1e-12 * smin
+    assert abs(report.sigma_max - smax) <= 1e-12 * smax
+    if det is not None:
+        want = np.linalg.det(a)
+        assert abs(det - want) <= 1e-12 * abs(want)
 
 
 def reference_criterion(bc, coeffs):
@@ -59,41 +77,61 @@ def relative_gap(a, b):
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_blocks_match_dense_reference(builder):
+    """The stacked checks give the verdicts, σ's and determinants of the dense
+    matrices; the sweep meets block groups of several vertices, degree-1
+    vertices (no Y0 columns) and blocks with mixed speeds."""
     rng = np.random.default_rng({"standard": 1, "delta": 2, "nonlocal_matrices": 3}[builder])
+    met = set()
     for _ in range(25):
         g = random_graph(rng)
         coeffs = random_coeffs(rng, g)
         blocks = local_condition(rng, g, coeffs, builder)
+        speeds = coeffs.mu_endpoint_diagonals()
+        for group in blocks.groups:
+            if group.slots.shape[0] > 1:
+                met.add("shared shape")
+            if group.flux.shape[1] == 0:
+                met.add("no Y0 columns")
+            if np.ptp(speeds[group.slots], axis=1).max() > 0:
+                met.add("mixed speeds")
         dense = reference_spaces(blocks)
-        assert (ge.check_boundary_spaces(blocks).verdict
+        report = ge.check_boundary_spaces(blocks)
+        assert (report.verdict
                 == ge.check_boundary_spaces(dense).verdict
                 == ("WellPosed" if equilibrated_verdict(np.hstack([dense.y0_basis,
                                                                    dense.y1_basis]))
                     else "NotWellPosed"))
+        assert_report_matches_dense(report, np.hstack([blocks.y0_basis, blocks.y1_basis]))
 
         matrices = ge.to_boundary_matrices(blocks, g.l, g.m)
         reference = reference_to_matrices(dense, g.l, g.m)
-        assert (ge.check_boundary_matrices(matrices, coeffs).verdict
+        report = ge.check_boundary_matrices(matrices, coeffs)
+        assert (report.verdict
                 == ("WellPosed" if equilibrated_verdict(reference_criterion(reference, coeffs))
                     else "NotWellPosed"))
+        assert_report_matches_dense(report, reference_criterion(matrices, coeffs),
+                                    report.determinant)
 
         # one vertex made degenerate: its Y0 block meets its Y1 block, and one
         # of its speed-normalized flux rows repeats one of its value rows
-        degree = np.array([s.size for s in blocks.partition.slots])
+        # (dataclasses.replace makes the same condition one dense block)
+        part = blocks.partition
+        degree = np.array([s.size for s in part.slots])
         b = int(np.argmax(degree))
         if degree[b] >= 2:
-            y0 = blocks.y0_basis.copy()
-            y0[:, blocks.partition.flux[b][0]] = blocks.y1_basis[:, blocks.partition.value[b][0]]
-            bad = dataclasses.replace(blocks, y0_basis=y0)
-            assert not equilibrated_verdict(np.hstack([y0, bad.y1_basis]))
-            for bc in (bad, dataclasses.replace(bad, partition=None)):
+            slots = part.slots[b]
+            y0 = blocks.y0_basis[np.ix_(slots, part.flux[b])]
+            y0[:, 0] = blocks.y1_basis[slots, part.value[b][0]]
+            bad = with_block(blocks, b, flux_block=y0)
+            assert not equilibrated_verdict(np.hstack([bad.y0_basis, bad.y1_basis]))
+            for bc in (bad, dataclasses.replace(bad)):
                 assert ge.check_boundary_spaces(bc).verdict == "NotWellPosed"
-            r, f = matrices.partition.value[b][0], matrices.partition.flux[b][0]
-            w_rows = matrices.w_rows.copy()
-            w_rows[f] = matrices.v_rows[r] * coeffs.mu_endpoint_diagonals()
-            bad = dataclasses.replace(matrices, w_rows=w_rows)
+            value, flux = matrices.partition.value[b], matrices.partition.flux[b]
+            w = matrices.w_rows[np.ix_(flux, slots)]
+            w[0] = matrices.v_rows[value[0], slots] * speeds[slots]
+            bad = with_block(matrices, b, flux_block=w)
             assert not equilibrated_verdict(reference_criterion(bad, coeffs))
-            for bc in (bad, dataclasses.replace(bad, partition=None)):
+            for bc in (bad, dataclasses.replace(bad)):
                 assert ge.check_boundary_matrices(bc, coeffs).verdict == "NotWellPosed"
 
         update = ge.vertex_update_matrix(matrices, coeffs)
@@ -103,6 +141,7 @@ def test_blocks_match_dense_reference(builder):
             values = rng.normal(size=g.trace_dim) + 1j * rng.normal(size=g.trace_dim)
             assert relative_gap(update.solve(incoming, values),
                                 reference_solve(reference, coeffs, incoming, values)) <= 1e-12
+    assert met == {"shared shape", "no Y0 columns", "mixed speeds"}
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -142,23 +181,33 @@ def test_builders_partition_by_vertex(star):
 
 
 def test_partition_must_match_the_bases(star):
+    """Blocks own each trace slot, value and flux index once and vertex blocks
+    are square, or ``from_blocks`` refuses them; dense input is one block."""
     bc = ge.from_standard(star, ge.unit_coefficients(2, 1))
+    centre, leaves = bc.groups  # degree 3, then the two degree-1 leaves
     leaked = bc.y0_basis.copy()
     leaked[3, 0] = 1.0  # a center column reaching into a leaf slot
-    with pytest.raises(ge.DimensionMismatchError, match="outside its vertex block"):
-        dataclasses.replace(bc, y0_basis=leaked)
-    part = bc.partition
-    with pytest.raises(ge.DimensionMismatchError, match="1 slots but 2"):
-        dataclasses.replace(bc, partition=ge.VertexPartition(
-            part.slots, ([0], [1, 2], []), part.flux))
-    with pytest.raises(ge.DimensionMismatchError, match="once"):
-        dataclasses.replace(bc, partition=ge.VertexPartition(
-            (part.slots[0], part.slots[1], part.slots[1]), part.value, part.flux))
+    assert dataclasses.replace(bc, y0_basis=leaked).partition is None
+    with pytest.raises(ge.DimensionMismatchError, match="trace slot once"):
+        ge.BoundarySpacesBC.from_blocks(  # a leaf claims the center's slot 0
+            [centre, dataclasses.replace(leaves, slots=np.array([[3], [0]]))], None)
+    with pytest.raises(ge.DimensionMismatchError, match="value index once"):
+        ge.BoundarySpacesBC.from_blocks(
+            [centre, dataclasses.replace(leaves, value=np.array([[1], [1]]))], None)
+    with pytest.raises(ge.DimensionMismatchError, match="3 slots but 2"):
+        ge.BoundarySpacesBC.from_blocks(  # the center drops a Y0 column
+            [dataclasses.replace(centre, flux=centre.flux[:, :1],
+                                 flux_block=centre.flux_block[:, :, :1]), leaves], None)
     matrices = ge.to_boundary_matrices(bc, star.l, star.m)
-    w_rows = matrices.w_rows.copy()
-    w_rows[1, 1] = 1.0  # a leaf's flux row reaching into the center's slot f_1(0)
-    with pytest.raises(ge.DimensionMismatchError, match="outside its vertex block"):
-        dataclasses.replace(matrices, w_rows=w_rows)
+    with pytest.raises(ge.DimensionMismatchError, match="flux index once"):
+        ge.BoundaryMatricesBC.from_blocks(
+            [matrices.groups[0], dataclasses.replace(matrices.groups[1],
+                                                     flux=np.array([[0], [1]]))],
+            matrices.sparse_U, m=star.m)
+    with pytest.raises(ge.DimensionMismatchError, match="m = 3"):
+        ge.BoundaryMatricesBC.from_blocks(matrices.groups, matrices.sparse_U, m=3)
+    with pytest.raises(ge.DimensionMismatchError, match="mu_endpoints"):
+        ge.BoundarySpacesBC.from_blocks(bc.groups, None, mu_endpoints=np.ones(4))
 
 
 def test_heat_dispatches_on_the_partition(compact_star):
@@ -166,7 +215,7 @@ def test_heat_dispatches_on_the_partition(compact_star):
     init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(3)), ())
     tagged = ge.from_standard(compact_star, coeffs)
     paths = [ge.heat_init(compact_star, coeffs, bc, init, dt=1e-3, n_per_edge=20).path
-             for bc in (tagged, dataclasses.replace(tagged, partition=None))]
+             for bc in (tagged, dataclasses.replace(tagged))]  # one dense block
     assert paths == ["continuity", "matrices"]
 
 
@@ -187,3 +236,19 @@ def test_scattering_matrix_is_an_involution(builder):
         assert (update.value_map is None) == (not matrices.u_rows.any())
         has_value_map.append(update.value_map is not None)
     assert set(has_value_map) == {builder != "standard"}  # delta and coupling matrices add U
+
+
+def test_set_up_memory_grows_with_the_blocks():
+    """The Kirchhoff set-up of a 1,000-vertex mesh (trace dim 4,010) peaks far
+    below one dense trace_dim x trace_dim complex array (257 MB)."""
+    g, coeffs = random_mesh(np.random.default_rng(0), n=1000, m=2000, l=10)
+    tracemalloc.start()
+    try:
+        bc = ge.from_standard(g, coeffs)
+        assert ge.check_boundary_spaces(bc).well_posed
+        update = ge.vertex_update_matrix(ge.to_boundary_matrices(bc, g.l, g.m), coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert update.scattering.shape == (g.trace_dim, g.trace_dim) == (4010, 4010)
+    assert peak < 32 * 2**20

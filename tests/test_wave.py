@@ -353,3 +353,46 @@ def test_init_rejects_nonlocal_kernels(interval):
     init = ge.InitialData((ge.EdgeInitial(ge.zero_profile()),), ())
     with pytest.raises(ge.UnsupportedNonlocalConditionError):
         ge.wave_init(interval, ge.unit_coefficients(1), bc, init, dt_target=1 / 100, T=1.0)
+
+
+def test_matrices_wave_init_evaluates_the_criterion_once(monkeypatch, star):
+    """One set of criterion blocks decides the Determinant verdict and feeds the
+    scattering build; a direct vertex update of a failing condition still raises."""
+    built = []
+    original = ge.wellposed._criterion_blocks
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ge.wellposed, "_criterion_blocks", counted)
+    init = ge.InitialData((ge.EdgeInitial(ge.zero_profile()), ge.EdgeInitial(ge.zero_profile())),
+                          (ge.EdgeInitial(ge.zero_profile(length=10.0)),))
+    ge.wave_init(star, ge.unit_coefficients(2, 1), star3_bc(), init, dt_target=1 / 20, T=1.0,
+                 external_lengths=(10.0,))
+    assert len(built) == 1
+    with pytest.raises(ge.SingularUpdateError):
+        ge.vertex_update_matrix(star3_bc(eps=0.0))
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("builder, reads_values", [("standard", False), ("delta", True)])
+def test_step_gathers_the_value_trace_only_for_a_value_map(monkeypatch, star, builder,
+                                                           reads_values):
+    seen = []
+    original = ge.VertexUpdate.solve
+
+    def solve(self, incoming, value_trace):
+        seen.append(value_trace)
+        return original(self, incoming, value_trace)
+
+    monkeypatch.setattr(ge.VertexUpdate, "solve", solve)
+    coeffs = ge.unit_coefficients(2, 1)
+    bc = (ge.from_standard(star, coeffs) if builder == "standard"
+          else ge.from_delta(star, coeffs, ge.DeltaCoupling([1.0, 0.5, 0.0])))
+    init = ge.InitialData((ge.EdgeInitial(ge.gaussian(0.5, 0.1)),) * 2,
+                          (ge.EdgeInitial(ge.zero_profile(length=3.0)),))
+    st = ge.wave_init(star, coeffs, bc, init, dt_target=1 / 40, T=1.0, external_lengths=(3.0,))
+    ge.wave_step(st)
+    assert (st.update.value_map is not None) == reads_values
+    assert [v is not None and v.shape == (star.trace_dim,) for v in seen] == [reads_values]

@@ -6,6 +6,7 @@ import pytest
 import graphevolve as ge
 from conftest import (coupled_endpoints_bc, dirichlet_interval_bc,
                       periodic_loop_bc, random_coeffs, random_graph, star3_bc)
+from graphevolve.wellposed import _permutation_sign
 
 
 def test_star3_determinant():
@@ -216,3 +217,22 @@ def test_auto_shrink():
     rep = ge.auto_shrink_t0(ones, ones, 0.9)
     assert rep.well_posed
     assert rep.dims["t0"] <= 0.5
+
+
+def test_permutation_sign_matches_cycle_walk():
+    """The pointer-doubling parity against a walk over the cycles."""
+    def walked(p):
+        seen, sign = [False] * len(p), 1
+        for i in range(len(p)):
+            length = 0
+            while not seen[i]:
+                seen[i], i, length = True, p[i], length + 1
+            if length and length % 2 == 0:
+                sign = -sign
+        return sign
+
+    rng = np.random.default_rng(0)
+    for n in [0, 1, 2, 3, 5, 8, 64, 1000, 1025]:
+        for _ in range(20):
+            p = rng.permutation(n)
+            assert _permutation_sign(p) == walked(p.tolist())
