@@ -74,7 +74,7 @@ def sampled(values, domain_length: float = 1.0) -> CoefficientProfile:
 
 def check_positive(profile: CoefficientProfile, domain_length: float,
                    epsilon: float | None = None) -> None:
-    """Verify lambda > 0 (internal) or epsilon < lambda < 1/epsilon (external)."""
+    """Verify a finite lambda > 0 (internal) or epsilon < lambda < 1/epsilon (external)."""
     if profile.kind == "constant":
         vals = np.array([profile.value])
     elif profile.kind == "quadratic_square":
@@ -85,6 +85,8 @@ def check_positive(profile: CoefficientProfile, domain_length: float,
         vals = mu**2
     else:
         vals = np.asarray(profile.samples, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NonPositiveCoefficientError("lambda must be finite on the edge")
     if np.any(vals <= 0.0):
         raise NonPositiveCoefficientError("lambda must be positive on the edge")
     if epsilon is not None:

@@ -8,6 +8,7 @@ matrix entries may be numbers or strings parseable by ``complex()``
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -64,16 +65,27 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
-def _number(value, path) -> float:
+def _real(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "expected a finite number, got an integer beyond the float range")
+
+
+def _number(value, path) -> float:
+    """A finite real number."""
+    value = _real(value, path)
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return value
 
 
 def _positive(value, path) -> float:
     """A finite number > 0."""
     value = _number(value, path)
-    if not (math.isfinite(value) and value > 0.0):
+    if not value > 0.0:
         _fail(path, f"expected a finite number > 0, got {value!r}")
     return value
 
@@ -102,15 +114,19 @@ def _map(value, path) -> dict:
 
 
 def _scalar(value, path) -> complex:
-    """A real number or a string accepted by complex()."""
+    """A finite real number or a string accepted by complex()."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, str):
+        number = complex(_real(value, path))
+    elif isinstance(value, str):
         try:
-            return complex(value.replace(" ", ""))
+            number = complex(value.replace(" ", ""))
         except ValueError:
             _fail(path, f"cannot parse {value!r} as a complex number")
-    _fail(path, f"expected a number or complex string, got {value!r}")
+    else:
+        _fail(path, f"expected a number or complex string, got {value!r}")
+    if not cmath.isfinite(number):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _matrix(value, rows, cols, path) -> np.ndarray:
@@ -190,7 +206,8 @@ def _parse_profile(entry, path) -> coeffs_mod.CoefficientProfile:
 
 def _parse_coeffs(section, g, lengths, path="coefficients"):
     section = _map(section, path)
-    eps = _number(section.get("epsilon", 1e-8), f"{path}.epsilon")
+    # EdgeCoefficients refuses an epsilon outside (0, 1), NaN included
+    eps = _real(section.get("epsilon", 1e-8), f"{path}.epsilon")
 
     def profiles(key, count, default_len):
         entries = section.get(key)
@@ -358,21 +375,15 @@ def _parse_sim(section, path="sim") -> SimConfig:
     if eq not in ("wave", "heat"):
         _fail(f"{path}.equation", f"unknown equation {eq!r}")
 
-    def finite(key, default):
-        value = _number(section.get(key, default), f"{path}.{key}")
-        if not math.isfinite(value):
-            _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
-        return value
-
     T = _positive(_require(section, "T", path), f"{path}.T")
     dt = _positive(_require(section, "dt", path), f"{path}.dt")
     steps = T / dt
     if not (math.isfinite(steps) and abs(round(steps) * dt - T) <= 1e-9 * max(1.0, T)):
         _fail(f"{path}.dt", f"T = {T!r} must be an integer multiple of dt = {dt!r}")
-    theta = finite("theta", 0.5)
+    theta = _number(section.get("theta", 0.5), f"{path}.theta")
     if not 0.5 <= theta <= 1.0:
         _fail(f"{path}.theta", f"must lie in [1/2, 1], got {theta!r}")
-    snap_tol = finite("snap_tol", 0.05)
+    snap_tol = _number(section.get("snap_tol", 0.05), f"{path}.snap_tol")
     if snap_tol < 0.0:
         _fail(f"{path}.snap_tol", f"must be non-negative, got {snap_tol!r}")
     return SimConfig(

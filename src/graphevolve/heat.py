@@ -349,11 +349,13 @@ def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, node, inward, h):
     return row + bc.k1
 
 
-def heat_step(state: HeatState) -> None:
-    """One theta-step: a sparse mat-vec with b, then the LU solve with a."""
-    state.u = state.factor.solve(state.explicit @ state.u)
-    state.step_count += 1
-    state.t = state.step_count * state.dt
+def heat_step(state: HeatState, steps: int = 1) -> None:
+    """`steps` theta-steps, one after the other: each a sparse mat-vec with b,
+    then the LU solve with a."""
+    for _ in range(steps):
+        state.u = state.factor.solve(state.explicit @ state.u)
+        state.step_count += 1
+        state.t = state.step_count * state.dt
 
 
 def mass(state: HeatState) -> float:

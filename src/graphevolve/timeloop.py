@@ -1,7 +1,9 @@
 """The time loop shared by the wave and heat propagators.
 
-``wave_run`` and ``heat_run`` pass their step, energy and mass functions on
-each call, so rebinding those module names (as a tracer does) takes effect.
+The loop advances from record to record: one ``step(state, n)`` call moves
+the state over the n steps up to the next record.  ``wave_run`` and
+``heat_run`` pass their step, energy and mass functions on each call, so
+rebinding those module names (as a tracer does) still takes effect.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ def run(state, T: float, record_stride: int, step, snapshot, energy, mass):
 
     The initial state, every record_stride-th step and the final state are
     recorded: ``snapshot(state)`` is appended to the snapshots, then
-    (t, energy, mass) to the diagnostics.
+    (t, energy, mass) to the diagnostics.  ``step(state, n)`` advances n steps.
     """
+    if record_stride < 1:
+        raise ValueError("record_stride must be a positive integer")
     steps = round(T / state.dt)
     if abs(steps * state.dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integer multiple of dt")
@@ -39,8 +43,7 @@ def run(state, T: float, record_stride: int, step, snapshot, energy, mass):
         diag.record(state.t, energy(state), mass(state))
 
     record()
-    for k in range(1, steps + 1):
-        step(state)
-        if k % record_stride == 0 or k == steps:
-            record()
+    for k in range(0, steps, record_stride):
+        step(state, min(record_stride, steps - k))
+        record()
     return state, diag, snapshots

@@ -14,16 +14,28 @@ ring head of every edge: node i of the left-moving p and G sits at ring slot
 (i + k) mod size, node i of the right-moving q and F at (i - k) mod size.  A
 step therefore moves no interior data; it gathers and scatters only the
 l + 2m vertex slots, vectorized over all edges, and costs O(vertices) rather
-than O(cells).  The vertex map of a step is one product with the scattering
-matrix that ``vertex_update_matrix`` builds once per run.  Grid-order arrays
-(and u = F + G) are built only when read: per edge by ``WaveEdgeFields``, and
-for all edges at once, one concatenation per field, by a recorded snapshot.
+than O(cells).  The vertex map is a product with the scattering matrix that
+``vertex_update_matrix`` builds once per run.
+
+Speeds are finite: what a vertex sends out reaches the far end of its edge
+only after a whole transit of n_e = size - 1 steps.  So ``wave_step``
+advances in blocks of K <= min(n_e) steps, whose incoming values are all in
+the rings when the block starts: one gather of a (K, l + 2m) block, one
+product, one scatter, and the trapezoid inflow of F and G added step after
+step, so a block writes the bytes K single steps write.  The time loop asks
+for a whole record interval at once.  A condition with zeroth-order terms
+(a value map) reads u = F + G at the vertices, which the step before
+writes, and advances one step per block.
+
+Grid-order arrays (and u = F + G) are built only when read: per edge by
+``WaveEdgeFields``, and for all edges at once, one concatenation per field,
+by a recorded snapshot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,6 +138,9 @@ class WaveState:
     fwd: np.ndarray
     bwd: np.ndarray
     step_count: int = 0
+    # wave_step's block buffers, made by its first call and reused by every
+    # later one: arrays this large, made afresh, fault in new pages each call
+    blocks: tuple | None = field(default=None, repr=False)
 
     def edges(self) -> list[WaveEdgeFields]:
         return [WaveEdgeFields(self, e) for e in range(len(self.grids))]
@@ -245,51 +260,95 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     return WaveState(g, 0.0, dt, update, tuple(grids), mu, start, size, *packed)
 
 
-# After k steps the node a step touches sits at ring slot
-# (sign * k + offset) % size of its edge.  Rows: p, G at node 0, at the last
-# node and at node 0 after the step (sign +1); q, F at node 0, at the last
-# node and at the last node after the step (sign -1).
-_RING_SIGN = np.array([[1], [1], [1], [-1], [-1], [-1]])
-_RING_OFFSET = np.array([[0], [-1], [1], [0], [-1], [-2]])
+# A block gathers the incoming values of its K steps as one (K, l + 2m) array.
+# Capping K (l + 2m) at this many entries keeps that complex buffer, and each
+# of the others a block fills, near 256 KiB, so the buffers a state keeps add
+# little to the peak memory of a run.
+_BLOCK_ENTRIES = 16_384
 
 
-def wave_step(state: WaveState) -> None:
-    """Advance one time step in place.
+def wave_step(state: WaveState, steps: int = 1) -> None:
+    """Advance `steps` time steps in place, in blocks of up to K steps.
 
     Advancing the step counter shifts the interior of every edge; only the
     l + 2m vertex slots of p, q, F and G are read and written, for all edges
-    at once, with the same floating-point operations as a per-edge shift.
+    at once, with the same floating-point operations as single per-edge
+    steps.  The K <= min(size) - 1 steps of a block receive only values
+    already in the rings (see the module docstring); with a value map a
+    block is one step.
     """
-    dt, k, l, m = state.dt, state.step_count, state.graph.l, state.graph.m
+    dt, l, m, n = state.dt, state.graph.l, state.graph.m, state.graph.trace_dim
     p, q, fwd, bwd = state.p, state.q, state.fwd, state.bwd
-    slots = state.start + (k * _RING_SIGN + _RING_OFFSET) % state.size
-    # after the step p, G end where node 0 is now, and q, F start where the last node is
-    left0, left_end, left0_next, right0, right_end, right_end_next = slots
-    old_q0 = q[right0]
-    old_p_end = p[left_end]
-
-    # the shift has already moved the old p(1) to p(0) and the old q(end - 1) to q(end)
-    new_p0 = p[left0_next]
-    incoming = np.concatenate((new_p0[:l], q[right_end_next[l:]], new_p0[l:]))
+    start, size = state.start, state.size
+    end = start + size
     values = None
     if state.update.value_map is not None:
-        # u = F + G at (right0, left0) and at (right_end, left_end)
-        u_start, u_end = fwd[slots[3:5]] + bwd[slots[0:2]]
-        values = np.concatenate((u_start, u_end[l:]))
-    outgoing = state.update.solve(incoming, values)
+        block = 1
+    else:
+        block = max(1, min(int(size.min()) - 1, _BLOCK_ENTRIES // n))
+    # Row t of `left` holds the ring slot of node t - 1 of p and G, row t of
+    # `right` that of node t of q and F, at the step count of the block's
+    # first step.  `sent` holds q at node 0 and p at the last node, `inflow`
+    # F at node 0 and G at the last node: row 0 before the block, row j + 1
+    # after its step j.  Nothing returns from beyond the truncation cut of an
+    # external edge, so p stays 0 there.  Row k of a block of k steps is row 0
+    # of the next block.
+    if state.blocks is None or state.blocks[1].shape != (block, n):
+        state.blocks = (np.empty((2, block + 2, l + m), dtype=np.int64),
+                        np.empty((block, n), dtype=complex),
+                        np.zeros((2, 2, block + 1, l + m), dtype=complex))
+    (left, right), incoming, (sent_rows, inflow_rows) = state.blocks
+    ramp = np.arange(block + 2)[:, None]
+    k0 = state.step_count
+    head_left = start + (k0 - 1) % size  # node i of p sits at (i + k0) % size
+    head_right = start + (-k0) % size  # node i of q at (i - k0) % size
+    sent_rows[:, 0] = q[head_right], p[head_left]
+    inflow_rows[:, 0] = fwd[head_right], bwd[head_left]
 
-    # nothing returns from beyond the truncation cut of an external edge
-    p_end = np.concatenate((np.zeros(l, dtype=complex), outgoing[l:l + m]))
-    q0 = np.concatenate((outgoing[:l], outgoing[l + m:]))
-    p[left0] = p_end
-    q[right_end] = q0
+    while steps > 0:
+        k = min(block, steps)
+        lft, rgt = left[:k + 2], right[:k + 2]
+        np.add(head_left, ramp[:k + 2], out=lft)
+        np.subtract(lft, size, out=lft, where=lft >= end)
+        np.subtract(head_right, ramp[:k + 2], out=rgt)
+        np.add(rgt, size, out=rgt, where=rgt < start)
 
-    # primitives: exact shifts plus trapezoid inflow at the endpoints
-    fwd[right_end] = fwd[right0] + dt * (old_q0 + q0) / 4.0
-    bwd[left0] = bwd[left_end] + dt * (old_p_end + p_end) / 4.0
+        # step j receives p(1) and q(end - 1) of its step count, the values the
+        # shift moves to p(0) and q(end): nodes j + 1 and end - j - 1 at the
+        # block's first step count
+        block_in = incoming[:k]
+        block_in[:, :l] = p[lft[2:, :l]]
+        block_in[:, l:l + m] = q[rgt[2:, l:]]
+        block_in[:, l + m:] = p[lft[2:, l:]]
+        if state.update.value_map is not None:
+            # u = F + G at node 0 and at the last node, before the block's one step
+            u_start, u_end = fwd[rgt[0:2]] + bwd[lft[1::-1]]
+            values = np.concatenate((u_start, u_end[l:]))
+        outgoing = state.update.solve(block_in, values)
 
-    state.step_count += 1
-    state.t = state.step_count * dt
+        sent, inflow = sent_rows[:, :k + 1], inflow_rows[:, :k + 1]
+        sent[0, 1:, :l] = outgoing[:, :l]
+        sent[0, 1:, l:] = outgoing[:, l + m:]
+        sent[1, 1:, l:] = outgoing[:, l:l + m]
+        q[rgt[1:k + 1]] = sent[0, 1:]
+        p[lft[1:k + 1]] = sent[1, 1:]
+
+        # primitives: exact shifts plus trapezoid inflow at the endpoints; the
+        # accumulate adds the inflow of one step after the other, as single
+        # steps do
+        step_in = inflow[:, 1:]
+        np.add(sent[:, :-1], sent[:, 1:], out=step_in)
+        np.multiply(dt, step_in, out=step_in)
+        np.divide(step_in, 4.0, out=step_in)
+        np.add.accumulate(inflow, axis=1, out=inflow)
+        fwd[rgt[1:k + 1]] = inflow[0, 1:]
+        bwd[lft[1:k + 1]] = inflow[1, 1:]
+
+        head_left, head_right = lft[k].copy(), rgt[k].copy()
+        sent[:, 0], inflow[:, 0] = sent[:, k], inflow[:, k]
+        state.step_count += k
+        state.t = state.step_count * dt
+        steps -= k
 
 
 def _trapezoid(state: WaveState, fields) -> np.ndarray:
@@ -355,6 +414,7 @@ def wave_run(state: WaveState, T: float, record_stride: int = 1):
     """Step until time T; return (state, diagnostics, snapshots).
 
     Snapshots are (t, per-edge u copies, per-edge u_t copies) tuples recorded
-    every record_stride steps, including the initial and final states.
+    every record_stride steps, including the initial and final states; each
+    record interval is one ``wave_step`` call.
     """
     return run(state, T, record_stride, wave_step, _snapshot, energy, mass)

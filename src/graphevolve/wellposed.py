@@ -68,9 +68,10 @@ class VertexUpdate:
     value_map: scipy.sparse.csr_array | None
 
     def solve(self, incoming: np.ndarray, value_trace: np.ndarray | None) -> np.ndarray:
-        outgoing = self.scattering @ incoming
+        """Outgoing values of one step, or one row per step for a (K, n) block."""
+        outgoing = (self.scattering @ incoming.T).T
         if self.value_map is not None:
-            outgoing = outgoing + self.value_map @ value_trace
+            outgoing = outgoing + (self.value_map @ value_trace.T).T
         if not np.isfinite(outgoing).all():
             raise ValueError("array must not contain infs or NaNs")
         return outgoing

@@ -64,6 +64,16 @@ def test_nonpositive_profile_rejected():
         ge.internal_transform(ge.quadratic_square(1.0, -2.0))  # mu changes sign
 
 
+@pytest.mark.parametrize("profile", [
+    ge.constant(float("nan")), ge.constant(float("inf")), ge.sampled([1.0, float("nan"), 1.0]),
+    ge.quadratic_square(float("nan"), 0.5)], ids=["nan", "inf", "sampled-nan", "quadratic-nan"])
+@pytest.mark.parametrize("external", [False, True])
+def test_non_finite_profile_rejected(profile, external):
+    profiles = ((profile,), ()) if not external else ((), (profile,))
+    with pytest.raises(ge.NonPositiveCoefficientError, match="finite"):
+        ge.EdgeCoefficients(*profiles)
+
+
 def test_cbar_times_phi1_is_one():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -325,6 +325,7 @@ DIRICHLET_MATRICES = (
     "bc:\n  kind: boundary_matrices\n  k0: 2\n  k1: 0\n"
     "  v0i: [[1], [0]]\n  v1i: [[0], [1]]\n")
 U0 = "{u0: {kind: sine_mode, mode: 1}}"
+STANDING_WAVE = (CONFIGS / "dirichlet-standing-wave.cfg").read_text()
 ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kind: standard\n"
 
 
@@ -356,11 +357,16 @@ ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kin
     (HEAT_WITH_LEAD, "[[a, b]]", "[[false, true]]", "graph.internal_edges[0]"),
     (HEAT_WITH_LEAD, "vertex: a", "vertex: true", "graph.external_edges[0].vertex"),
     (HEAT_WITH_LEAD, "coefficients:\n", "coefficients:\n  epsilon: .nan\n", "coefficients"),
+    (STANDING_WAVE, "amplitude: 1.0", "amplitude: .nan", "initial.internal[0].u0.amplitude"),
+    (STANDING_WAVE, "value: 1.0", "value: .nan", "coefficients.internal[0].value"),
+    (STANDING_WAVE, "v0i: [[1], [0]]", "v0i: [[.nan], [0]]", "bc.v0i[0][0]"),
+    (STANDING_WAVE, "v0i: [[1], [0]]", "v0i: [[1], [1" + "0" * 400 + "]]", "bc.v0i[1][0]"),
 ], ids=["coefficients-list", "internal-edges-int", "external-edges-int", "initial-list",
         "initial-entry-int", "custom-samples-int", "custom-samples-short", "sine-mode-0",
         "gaussian-width-0", "length-negative", "length-0", "k0-fraction", "mode-fraction",
         "sampled-short", "t0-above-1", "vertices-bool", "vertices-negative",
-        "internal-vertex-bool", "external-vertex-bool", "epsilon-nan"])
+        "internal-vertex-bool", "external-vertex-bool", "epsilon-nan", "amplitude-nan",
+        "coefficient-nan", "matrix-entry-nan", "matrix-entry-beyond-float"])
 def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, path):
     """Bad input exits 1 with `error: <path>: ...`, never a traceback or a silent run."""
     assert old in base

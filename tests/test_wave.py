@@ -396,3 +396,93 @@ def test_step_gathers_the_value_trace_only_for_a_value_map(monkeypatch, star, bu
     ge.wave_step(st)
     assert (st.update.value_map is not None) == reads_values
     assert [v is not None and v.shape == (star.trace_dim,) for v in seen] == [reads_values]
+
+
+def block_star(star, bc, dt_target=1 / 20, T=10.0):
+    """The star with internal speeds 1 and 2 and an external edge of length 2: at
+    dt 1/20 its rings hold 21, 11 and 41 nodes, so a block has at most 10 steps."""
+    coeffs = ge.EdgeCoefficients((ge.constant(1.0), ge.constant(4.0)), (ge.constant(1.0),))
+    init = ge.InitialData(
+        (ge.EdgeInitial(ge.gaussian(0.4, 0.1), ge.sine_mode(1, 0.5)),
+         ge.EdgeInitial(ge.gaussian(0.6, 0.1, amplitude=-0.7))),
+        (ge.EdgeInitial(ge.zero_profile(length=2.0)),))
+    return ge.wave_init(star, coeffs, bc, init, dt_target=dt_target, T=T,
+                        external_lengths=(2.0,))
+
+
+def snapshot_bytes(state):
+    t, u, ut = _snapshot(state)
+    return t, [a.tobytes() for a in u + ut]
+
+
+def assert_blocks_match_single_steps(blocked, n, total):
+    """Advancing `n` steps per call equals single steps byte for byte."""
+    single = copy.deepcopy(blocked)
+    while blocked.step_count < total:
+        ge.wave_step(blocked, n)
+        for _ in range(n):
+            ge.wave_step(single)
+        assert blocked.step_count == single.step_count
+        assert ring_bytes(blocked) == ring_bytes(single), (n, blocked.step_count)
+        assert snapshot_bytes(blocked) == snapshot_bytes(single), (n, blocked.step_count)
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 32])
+def test_a_block_of_steps_equals_single_steps(star, n):
+    """n in {1, K - 1, K, K + 1, 3K + 2} for the longest block K = min(size) - 1,
+    through at least four wraps of every ring."""
+    st = block_star(star, star3_bc())
+    sizes = [e.s.size for e in st.edges()]
+    assert st.update.value_map is None and sorted(sizes) == [11, 21, 41]
+    assert_blocks_match_single_steps(st, n, 4 * max(sizes) + 1)
+    assert np.max(np.abs(st.internal[0].u)) > 1e-3  # the vertex coupling kept data alive
+
+
+def record_block_shapes(monkeypatch):
+    """Make VertexUpdate.solve record the shape of every incoming block."""
+    shapes = []
+    original = ge.VertexUpdate.solve
+
+    def solve(self, incoming, value_trace):
+        shapes.append(incoming.shape)
+        return original(self, incoming, value_trace)
+
+    monkeypatch.setattr(ge.VertexUpdate, "solve", solve)
+    return shapes
+
+
+def test_a_value_map_advances_one_step_per_block(monkeypatch, star):
+    shapes = record_block_shapes(monkeypatch)
+    st = block_star(star, star3_bc(delta=0.5))
+    assert st.update.value_map is not None
+    assert_blocks_match_single_steps(st, 32, 4 * 41 + 1)
+    assert set(shapes) == {(1, star.trace_dim)}
+
+
+def test_a_one_cell_edge_limits_blocks_to_one_step(monkeypatch, star):
+    shapes = record_block_shapes(monkeypatch)
+    st = block_star(star, star3_bc(), dt_target=0.5)
+    assert min(e.s.size for e in st.edges()) == 2  # the speed-2 edge has one cell
+    ge.wave_step(copy.deepcopy(st), 5)
+    assert shapes == [(1, star.trace_dim)] * 5
+    assert_blocks_match_single_steps(st, 5, 4 * 5 + 1)
+
+
+def test_a_non_finite_ring_value_fails_inside_a_block(star):
+    st = block_star(star, star3_bc())
+    edge = star.l  # the first internal edge; its node 3 reaches node 0 at the third step
+    st.p[st.start[edge] + (3 + st.step_count) % st.size[edge]] = np.nan
+    ge.wave_step(copy.deepcopy(st), 2)  # the first two steps do not read it
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ge.wave_step(st, 10)
+
+
+@pytest.mark.parametrize("n", [1, 10, 32])
+def test_a_block_leaves_a_deep_copy_unchanged(star, n):
+    st = block_star(star, star3_bc())
+    ge.wave_step(st, 7)
+    twin = copy.deepcopy(st)
+    before = ring_bytes(twin), snapshot_bytes(twin)
+    ge.wave_step(st, n)
+    assert (ring_bytes(twin), snapshot_bytes(twin)) == before and twin.step_count == 7
+    assert ring_bytes(st) != before[0]
