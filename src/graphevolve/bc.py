@@ -24,7 +24,7 @@ block per vertex (``from_blocks``) and ``to_boundary_matrices`` keeps them;
 dense arrays given to the constructors are one block over all slots.  Only
 the zeroth-order terms (local_U, the U rows) may couple blocks; they are
 kept sparse.  The dense fields of a condition built from blocks are formed
-when first read.
+when first read; the package reads rows from the blocks (``trace_rows``).
 """
 
 from __future__ import annotations
@@ -174,14 +174,18 @@ def block_matrix(parts, shape: tuple[int, int]) -> scipy.sparse.csr_array:
 
 
 def _assembled(groups, value: bool, rows: bool, dim: int) -> scipy.sparse.csr_array:
-    """The value (Y1, V) or else the flux (Y0, W) matrix of the blocks, in CSR;
-    `rows` for row blocks (V, W)."""
-    parts = [(g.slots, g.value if value else g.flux, g.value_block if value else g.flux_block)
-             for g in groups]
-    size = sum(index.size for _, index, _ in parts)
-    if rows:
-        return block_matrix([(index, slots, b) for slots, index, b in parts], (size, dim))
-    return block_matrix(parts, (dim, size))
+    """The value (Y1, V) or else the flux (Y0, W) matrix of the blocks, in CSR
+    of their nonzeros with sorted indices; `rows` for row blocks (V, W)."""
+    entries, size = [], 0
+    for g in groups:
+        index, block = (g.value, g.value_block) if value else (g.flux, g.flux_block)
+        b, i, j = np.nonzero(block)
+        first, second = (index, g.slots) if rows else (g.slots, index)
+        entries.append((block[b, i, j], first[b, i], second[b, j]))
+        size += index.size
+    values, first, second = (np.concatenate(x) for x in zip(*entries))
+    return scipy.sparse.csr_array((values, (first, second)),
+                                  shape=(size, dim) if rows else (dim, size))
 
 
 class _Blocks:
@@ -275,6 +279,9 @@ class BoundaryMatricesBC(_Blocks):
     Value rows:  v_rows @ (f_e(0), f_i(0), f_i(1)) = 0.
     Flux rows:   w_rows @ (f_e'(0), f_i'(0), -f_i'(1))
                  + u_rows @ (f_e(0), f_i(0), f_i(1)) = 0.
+
+    ``dataclasses.replace`` reads the dense fields and returns the dense
+    one-block form: ``partition`` is None and there are no vertex blocks.
     """
 
     v_rows: np.ndarray = _Derived()
@@ -352,7 +359,8 @@ class BoundarySpacesBC(_Blocks):
     Y1 and Y0 are stored as blocks of full column rank: one over all slots
     for dense input, one per vertex from the continuity builders, a constant
     Y1 column and Y0 = C * Y1-perp: the blocks heat's finite-volume path
-    takes.
+    takes.  ``dataclasses.replace`` reads the dense fields and returns the
+    dense one-block form: ``partition`` is None and there are no vertex blocks.
     """
 
     y1_basis: np.ndarray = _Derived()
@@ -419,6 +427,12 @@ def from_standard(g: MetricGraph, coeffs: EdgeCoefficients) -> BoundarySpacesBC:
     of one degree form a group, in vertex order, and the groups come in the
     order of their first vertex.
     """
+    return _kirchhoff(g, coeffs, None)
+
+
+def _kirchhoff(g: MetricGraph, coeffs: EdgeCoefficients, coupling) -> BoundarySpacesBC:
+    """``from_standard`` with local_U = -C X, for `coupling` X a trace-ordered
+    COO matrix of nonzeros (None: no zeroth-order term)."""
     coeffs.validate_against(g.m, g.l)
     speeds = coeffs.mu_endpoint_diagonals()
     ends = endpoint_vertices(g)
@@ -437,7 +451,9 @@ def from_standard(g: MetricGraph, coeffs: EdgeCoefficients) -> BoundarySpacesBC:
                                  flux_start[block][:, None] + np.arange(d - 1),
                                  np.ones((block.size, d, 1), dtype=complex),
                                  perp / speeds[slots][:, :, None]))
-    return BoundarySpacesBC.from_blocks(groups, None, mu_endpoints=speeds)
+    local_u = None if coupling is None else scipy.sparse.csr_array(
+        (-coupling.data / speeds[coupling.row], coupling.coords), shape=coupling.shape)
+    return BoundarySpacesBC.from_blocks(groups, local_u, mu_endpoints=speeds)
 
 
 def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,
@@ -448,7 +464,6 @@ def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,
     giving per-endpoint diagonal weights alpha_v / deg(v); the resulting
     zeroth-order term is folded into a diagonal local_U.
     """
-    coeffs.validate_against(g.m, g.l)
     if delta.alpha.size != g.n:
         raise DimensionMismatchError(
             f"alpha has length {delta.alpha.size}, graph has {g.n} vertices"
@@ -459,13 +474,8 @@ def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,
     if isolated.size:
         v = int(isolated[0])
         raise ZeroDegreeVertexError(f"alpha[{v}] != 0 but vertex {v} is isolated")
-    weights = np.zeros(g.n, dtype=complex)
-    nz = deg > 0
-    weights[nz] = delta.alpha[nz] / deg[nz]
-    base = from_standard(g, coeffs)
-    local_u = scipy.sparse.diags_array(-weights[ends] / base.mu_endpoints, format="csr")
-    local_u.eliminate_zeros()
-    return BoundarySpacesBC.from_blocks(base.groups, local_u, mu_endpoints=base.mu_endpoints)
+    weights = delta.alpha[ends] / deg[ends]  # the COO conversion drops its zeros
+    return _kirchhoff(g, coeffs, scipy.sparse.diags_array(weights, format="coo"))
 
 
 def from_nonlocal_matrices(g: MetricGraph, coeffs: EdgeCoefficients,
@@ -477,15 +487,9 @@ def from_nonlocal_matrices(g: MetricGraph, coeffs: EdgeCoefficients,
     values of possibly distant edges; delta-type coupling is the diagonal
     special case.
     """
-    coeffs.validate_against(g.m, g.l)
-    m_e = np.asarray(m_e, dtype=complex).reshape(g.l, g.l)
-    m_im = np.asarray(m_i_minus, dtype=complex).reshape(g.m, g.m)
-    m_ip = np.asarray(m_i_plus, dtype=complex).reshape(g.m, g.m)
-    base = from_standard(g, coeffs)
-    block = scipy.sparse.block_diag((m_e, m_im, m_ip), format="coo")
-    local_u = scipy.sparse.csr_array((-block.data / base.mu_endpoints[block.row],
-                                      (block.row, block.col)), shape=block.shape)
-    return BoundarySpacesBC.from_blocks(base.groups, local_u, mu_endpoints=base.mu_endpoints)
+    blocks = [scipy.sparse.coo_array(np.asarray(x, dtype=complex).reshape(n, n))
+              for x, n in ((m_e, g.l), (m_i_minus, g.m), (m_i_plus, g.m))]
+    return _kirchhoff(g, coeffs, scipy.sparse.block_diag(blocks, format="coo"))
 
 
 def from_matrix_mixed(g: MetricGraph, k_matrix: np.ndarray) -> BoundarySpacesBC:
@@ -566,11 +570,10 @@ def _annihilators(bc: BoundarySpacesBC):
     flux_rows = _numbered([x.shape[:2] for x in r0])
     groups = [BlockGroup(g.slots, v, f, a1, a0)
               for g, v, f, a1, a0 in zip(bc.groups, value_rows, flux_rows, r1, r0)]
-    shape = (sum(f.size for f in flux_rows), bc.trace_dim)
     if bc.sparse_U is None:
-        return groups, scipy.sparse.csr_array(shape, dtype=complex)
-    return groups, block_matrix(((g.flux, g.slots, g.flux_block) for g in groups),
-                                shape) @ bc.sparse_U
+        return groups, scipy.sparse.csr_array((sum(f.size for f in flux_rows), bc.trace_dim),
+                                              dtype=complex)
+    return groups, _assembled(groups, False, True, bc.trace_dim) @ bc.sparse_U
 
 
 def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatricesBC:
@@ -603,13 +606,15 @@ def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatric
     return BoundaryMatricesBC.from_blocks(groups, u_rows, bc.partitioned, m=m)
 
 
-def _sparse_rows(bc):
-    """V, W and U of `bc` as CSR matrices; a spaces form gives its annihilator
-    rows, with unit speeds."""
+def trace_rows(bc):
+    """V, W and U of `bc` in CSR of their nonzeros, so ascending slots within a
+    row; a spaces form gives its annihilator rows, with unit speeds."""
     groups, u_rows = ((bc.groups, bc.sparse_U) if isinstance(bc, BoundaryMatricesBC)
                       else _annihilators(bc))
+    u_rows = u_rows.tocoo()
+    u_rows.eliminate_zeros()
     return (_assembled(groups, True, True, bc.trace_dim),
-            _assembled(groups, False, True, bc.trace_dim), u_rows)
+            _assembled(groups, False, True, bc.trace_dim), scipy.sparse.csr_array(u_rows))
 
 
 def value_residual(bc, trace: TraceVector) -> np.ndarray:
@@ -617,7 +622,7 @@ def value_residual(bc, trace: TraceVector) -> np.ndarray:
     v = trace.value_trace
     if v.size != bc.trace_dim:
         raise DimensionMismatchError("trace length does not match the conditions")
-    return _sparse_rows(bc)[0] @ v
+    return trace_rows(bc)[0] @ v
 
 
 def flux_residual(bc, trace: TraceVector,
@@ -631,7 +636,7 @@ def flux_residual(bc, trace: TraceVector,
     v, f = trace.value_trace, trace.flux_trace
     if v.size != bc.trace_dim:
         raise DimensionMismatchError("trace length does not match the conditions")
-    _, w_rows, u_rows = _sparse_rows(bc)
+    _, w_rows, u_rows = trace_rows(bc)
     if coeffs is not None and isinstance(bc, BoundaryMatricesBC):
         f = f / coeffs.mu_endpoint_diagonals()
     return w_rows @ f + u_rows @ v

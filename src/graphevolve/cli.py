@@ -222,6 +222,9 @@ def main(argv=None) -> int:
     except (ConfigError, GraphEvolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

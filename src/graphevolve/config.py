@@ -141,6 +141,12 @@ def _matrix(value, rows, cols, path) -> np.ndarray:
     return out
 
 
+def _width(value) -> int:
+    """The row length of a matrix given as a list of rows; 0 for anything
+    else, which ``_matrix`` then refuses with its path."""
+    return len(value[0]) if isinstance(value, list) and value and isinstance(value[0], list) else 0
+
+
 def _parse_graph(section, path="graph"):
     vertices = _require(section, "vertices", path)
     if isinstance(vertices, int) and not isinstance(vertices, bool):
@@ -236,11 +242,11 @@ def _parse_coeffs(section, g, lengths, path="coefficients"):
 
 
 def _kernel_samples(entry, path) -> np.ndarray:
-    if isinstance(entry, list):
+    if isinstance(entry, list) and len(entry) >= 2:
         return np.array([_scalar(v, path) for v in entry])
     if isinstance(entry, (int, float, str)):
         return np.full(101, _scalar(entry, path))
-    _fail(path, "expected a constant or a list of kernel samples")
+    _fail(path, "expected a constant or a list of at least two kernel samples")
 
 
 def _parse_bc(section, g, coeffs, index, path="bc"):
@@ -277,7 +283,7 @@ def _parse_bc(section, g, coeffs, index, path="bc"):
                            f"{path}.k_matrix"))
         elif kind == "generalized_node":
             y = _require(section, "y_basis", path)
-            d = len(y[0]) if isinstance(y, list) and y and isinstance(y[0], list) else 0
+            d = _width(y)
             y_basis = _matrix(y, 2 * m, d, f"{path}.y_basis")
             w = _matrix(section.get("w", [[0] * d for _ in range(d)]), d, d, f"{path}.w")
             built = bc_mod.from_generalized_node(g, y_basis, w, coeffs)
@@ -296,8 +302,7 @@ def _parse_bc(section, g, coeffs, index, path="bc"):
             y1 = _require(section, "y1_basis", path)
             y0 = _require(section, "y0_basis", path)
             dim = l + 2 * m
-            d1 = len(y1[0]) if y1 and isinstance(y1[0], list) else 0
-            d0 = len(y0[0]) if y0 and isinstance(y0[0], list) else 0
+            d1, d0 = _width(y1), _width(y0)
             local_u = None
             if "local_u" in section:
                 local_u = _matrix(section["local_u"], dim, dim, f"{path}.local_u")

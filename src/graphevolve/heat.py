@@ -4,7 +4,8 @@ Interior nodes use the second-order central difference of lambda(s) u_ss.
 Boundary conditions enter as rows of the implicit system:
 
 * matrices form -- value rows on trace nodes, derivative rows via
-  second-order one-sided stencils, U-terms on trace nodes;
+  second-order one-sided stencils, U-terms on trace nodes, all read from the
+  nonzeros of the vertex blocks and of the sparse U rows;
 * spaces form whose every vertex block (``bc.groups``) is continuity
   plus Kirchhoff flux balance, as from the standard, delta and
   nonlocal-matrices builders -- continuity rows plus one conservative
@@ -31,7 +32,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices, trace_rows
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, SingularSystemError
 from .graph import MetricGraph
@@ -336,16 +337,14 @@ def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, node, inward, h):
     W multiplies outward derivatives, so each slot's second-order stencil runs
     inward from its trace node: up the edge at f(0) slots, down it at f_i(1).
     """
-    r, c = np.nonzero(bc.v_rows)
-    a.add(row + r, node[c], bc.v_rows[r, c])
+    v, w, u = (x.tocoo() for x in trace_rows(bc))  # row by row, slots ascending
+    a.add(row + v.row, node[v.col], v.data)
     row += bc.k0
 
     weights = np.array([-1.5, 2.0, -0.5])
-    r, c = np.nonzero(bc.w_rows)
-    a.add((row + r)[:, None], node[c, None] + inward[c, None] * np.arange(3),
-          bc.w_rows[r, c, None] * (weights / h[c, None]))
-    r, c = np.nonzero(bc.u_rows)
-    a.add(row + r, node[c], bc.u_rows[r, c])
+    a.add((row + w.row)[:, None], node[w.col, None] + inward[w.col, None] * np.arange(3),
+          w.data[:, None] * (weights / h[w.col, None]))
+    a.add(row + u.row, node[u.col], u.data)
     return row + bc.k1
 
 

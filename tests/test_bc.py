@@ -102,6 +102,23 @@ def test_from_nonlocal_zero_matches_standard(star):
     assert np.allclose(nl.local_U, 0.0)
 
 
+def test_zeroth_order_terms_store_no_zeros():
+    """The delta and nonlocal-matrices builders store only the nonzeros of
+    local_U = -C M (unit speeds here, so C = I)."""
+    g = ge.MetricGraph(4, [(0, 1), (0, 2), (0, 3)])
+    coeffs = ge.unit_coefficients(3)
+    zero, m = np.zeros((3, 3)), np.array([[0.5, 0, 0], [0, 0, 0], [0.25, 0, 1j]])
+    for bc, local_u in (
+            (ge.from_nonlocal_matrices(g, coeffs, np.zeros((0, 0)), zero, zero), np.zeros((6, 6))),
+            (ge.from_nonlocal_matrices(g, coeffs, np.zeros((0, 0)), m, m.T),
+             -np.block([[m, zero], [zero, m.T]])),
+            (ge.from_delta(g, coeffs, ge.DeltaCoupling([3.0, 0, 0, 0])),
+             -np.diag([1.0, 1, 1, 0, 0, 0]))):
+        assert bc.sparse_U.nnz == np.count_nonzero(local_u)
+        assert np.all(bc.sparse_U.data != 0)
+        assert np.array_equal(bc.local_U, local_u)
+
+
 def test_matrix_mixed_zero_is_neumann(interval):
     bc = ge.from_matrix_mixed(interval, np.zeros((2, 2)))
     assert bc.d0 == 0 and bc.d1 == 2

@@ -312,6 +312,22 @@ def test_simulate_rejects_bad_sim_values(tmp_path, capsys, config, old, new, key
     assert not (tmp_path / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("config, old, new", [
+    ("kirchhoff-star-heat", "n_per_edge: 100", "n_per_edge: 1000000000000"),
+    ("dirichlet-standing-wave", "dt: 0.005", "dt: 1.0e-13"),
+], ids=["heat-cells", "wave-steps"])
+def test_simulate_reports_memory_error(tmp_path, capsys, config, old, new):
+    """Grids numpy refuses to allocate (7 and 146 TiB here, refused before any
+    memory is touched) end in `error: ...` and exit 1, not a traceback."""
+    text = (CONFIGS / f"{config}.cfg").read_text()
+    assert old in text
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert run_cli("simulate", cfg, "--output-dir", tmp_path, "--quiet") == 1
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
+    assert not (tmp_path / "solution.csv").exists()
+
+
 HEAT_WITH_LEAD = (
     "graph:\n  vertices: [a, b]\n  internal_edges: [[a, b]]\n"
     "  external_edges: [{vertex: a, length: 2.0}]\n"
@@ -361,12 +377,21 @@ ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kin
     (STANDING_WAVE, "value: 1.0", "value: .nan", "coefficients.internal[0].value"),
     (STANDING_WAVE, "v0i: [[1], [0]]", "v0i: [[.nan], [0]]", "bc.v0i[0][0]"),
     (STANDING_WAVE, "v0i: [[1], [0]]", "v0i: [[1], [1" + "0" * 400 + "]]", "bc.v0i[1][0]"),
+    (SPACES_Y0_NEAR_Y1, "y1_basis: [[1], [1]]", "y1_basis: 5", "bc.y1_basis"),
+    (SPACES_Y0_NEAR_Y1, "y1_basis: [[1], [1]]", "y1_basis: {a: 1}", "bc.y1_basis"),
+    (SPACES_Y0_NEAR_Y1, "y0_basis: [[1], [1.00000000000001]]", "y0_basis: 5", "bc.y0_basis"),
+    (SPACES_Y0_NEAR_Y1, "y0_basis: [[1], [1.00000000000001]]", "y0_basis: {a: 1}",
+     "bc.y0_basis"),
+    ((CONFIGS / "nonlocal-interval.cfg").read_text(), "h0: 1.0", "h0: [1]", "bc.h0"),
+    ((CONFIGS / "nonlocal-interval.cfg").read_text(), "h1: 1.0", "h1: []", "bc.h1"),
 ], ids=["coefficients-list", "internal-edges-int", "external-edges-int", "initial-list",
         "initial-entry-int", "custom-samples-int", "custom-samples-short", "sine-mode-0",
         "gaussian-width-0", "length-negative", "length-0", "k0-fraction", "mode-fraction",
         "sampled-short", "t0-above-1", "vertices-bool", "vertices-negative",
         "internal-vertex-bool", "external-vertex-bool", "epsilon-nan", "amplitude-nan",
-        "coefficient-nan", "matrix-entry-nan", "matrix-entry-beyond-float"])
+        "coefficient-nan", "matrix-entry-nan", "matrix-entry-beyond-float",
+        "y1-basis-scalar", "y1-basis-map", "y0-basis-scalar", "y0-basis-map",
+        "h0-one-sample", "h1-no-samples"])
 def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, path):
     """Bad input exits 1 with `error: <path>: ...`, never a traceback or a silent run."""
     assert old in base

@@ -428,6 +428,48 @@ def test_matrix_rows_match_per_entry_reference(monkeypatch, builder, n_per_edge)
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_per_edge", [4, 9])
+def test_matrices_path_reads_blocks_not_dense_fields(n_per_edge):
+    """Heat's matrices path takes a condition's rows from its vertex blocks:
+    no dense field is formed, and the result equals that of the dense one-block
+    twin.  The conditions are delta-coupled matrices forms on random graphs and
+    spaces forms whose Y1 block at one vertex is not constant (converted)."""
+    rng = np.random.default_rng(16)
+    dense_fields = ("v_rows", "w_rows", "u_rows", "y1_basis", "y0_basis", "local_U")
+    cases = 0
+    while cases < 12:
+        g = random_graph(rng, max_n=6, max_m=6, max_l=3)
+        coeffs = random_coeffs(rng, g)
+        delta = local_condition(rng, g, coeffs, "delta")
+        big = [b for b, slots in enumerate(delta.partition.slots) if slots.size > 1]
+        if cases % 2 == 0:
+            bc = ge.to_boundary_matrices(delta, g.l, g.m)
+        elif big:
+            size = delta.partition.slots[big[0]].size
+            bc = with_block(delta, big[0], value_block=rng.uniform(0.5, 2.0, (size, 1)))
+        else:
+            continue
+        cases += 1
+        init = ge.InitialData(
+            tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(g.m)),
+            tuple(ge.EdgeInitial(ge.gaussian(0.3, 0.1, length=1.5)) for _ in range(g.l)))
+
+        def run(condition):
+            st = ge.heat_init(g, coeffs, condition, init, dt=1e-3, n_per_edge=n_per_edge,
+                              external_lengths=(1.5,) * g.l)
+            assert st.path == "matrices"
+            st, diag, _ = ge.heat_run(st, 0.02, record_stride=5)
+            return st.vector(), diag
+
+        got, diag = run(bc)
+        assert not set(dense_fields) & set(bc.__dict__)
+        twin = dataclasses.replace(ge.to_boundary_matrices(bc, g.l, g.m)
+                                   if isinstance(bc, ge.BoundarySpacesBC) else bc)
+        want, want_diag = run(twin)
+        assert np.array_equal(got, want)
+        assert diag == want_diag
+
+
 def reference_vertex_rows(a, b, row, g, bc, edges, offsets, trace_nodes, dt, theta):
     """The per-endpoint continuity assembly that the partition's blocks
     replaced, kept as an oracle: vertex membership from the edge lists."""
