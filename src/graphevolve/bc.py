@@ -201,7 +201,8 @@ class _Blocks:
 
     @classmethod
     def from_blocks(cls, groups, sparse_u, partitioned: bool = True, **fields):
-        """A condition from its blocks, with no dense field formed; `fields` sets the rest."""
+        """A condition from its blocks, with no dense field formed; `fields` sets the
+        rest.  It is never marked ``kirchhoff``, so heat takes its matrices path."""
         bc = object.__new__(cls)
         _set(bc, groups=tuple(groups), sparse_U=sparse_u, partitioned=partitioned, **fields)
         bc._validate()
@@ -358,9 +359,12 @@ class BoundarySpacesBC(_Blocks):
     between flux and raw-derivative conventions.
     Y1 and Y0 are stored as blocks of full column rank: one over all slots
     for dense input, one per vertex from the continuity builders, a constant
-    Y1 column and Y0 = C * Y1-perp: the blocks heat's finite-volume path
-    takes.  ``dataclasses.replace`` reads the dense fields and returns the
-    dense one-block form: ``partition`` is None and there are no vertex blocks.
+    Y1 column and Y0 = C * Y1-perp.  Only those builders set ``kirchhoff``,
+    the mark that sends heat down its finite-volume path; any other
+    condition, even one with the same blocks, has ``kirchhoff`` False.
+    ``dataclasses.replace`` reads the dense fields and returns the dense
+    one-block form: ``partition`` is None, there are no vertex blocks and
+    there is no mark.
     """
 
     y1_basis: np.ndarray = _Derived()
@@ -368,6 +372,7 @@ class BoundarySpacesBC(_Blocks):
     local_U: np.ndarray | None = _Derived(None)
     nonlocal_kernels: tuple | None = None
     mu_endpoints: np.ndarray | None = None
+    kirchhoff = False  # not a field, so no constructor or replace can set it
 
     def __post_init__(self):
         y1, y0 = (np.atleast_2d(np.asarray(x, dtype=complex))
@@ -432,7 +437,7 @@ def from_standard(g: MetricGraph, coeffs: EdgeCoefficients) -> BoundarySpacesBC:
 
 def _kirchhoff(g: MetricGraph, coeffs: EdgeCoefficients, coupling) -> BoundarySpacesBC:
     """``from_standard`` with local_U = -C X, for `coupling` X a trace-ordered
-    COO matrix of nonzeros (None: no zeroth-order term)."""
+    COO matrix of nonzeros (None: no zeroth-order term), marked ``kirchhoff``."""
     coeffs.validate_against(g.m, g.l)
     speeds = coeffs.mu_endpoint_diagonals()
     ends = endpoint_vertices(g)
@@ -453,7 +458,9 @@ def _kirchhoff(g: MetricGraph, coeffs: EdgeCoefficients, coupling) -> BoundarySp
                                  perp / speeds[slots][:, :, None]))
     local_u = None if coupling is None else scipy.sparse.csr_array(
         (-coupling.data / speeds[coupling.row], coupling.coords), shape=coupling.shape)
-    return BoundarySpacesBC.from_blocks(groups, local_u, mu_endpoints=speeds)
+    bc = BoundarySpacesBC.from_blocks(groups, local_u, mu_endpoints=speeds)
+    _set(bc, kirchhoff=True)
+    return bc
 
 
 def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,22 +210,25 @@ def main(argv=None) -> int:
                            help="halve t0 until the Young bound certifies well-posedness")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = parse_config(Path(args.config).read_text())
-        output_dir = Path(args.output_dir)
-        if args.command == "check":
-            return cmd_check(cfg, output_dir, args.quiet)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, output_dir, args.quiet)
-        if args.command == "transform":
-            return cmd_transform(cfg, output_dir, args.quiet)
-        return cmd_nonlocal_check(cfg, output_dir, args.quiet, args.auto_shrink_t0)
-    except (ConfigError, GraphEvolveError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # numpy names the size it could not allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores the hook and the filters on return
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            cfg = parse_config(Path(args.config).read_text())
+            output_dir = Path(args.output_dir)
+            if args.command == "check":
+                return cmd_check(cfg, output_dir, args.quiet)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, output_dir, args.quiet)
+            if args.command == "transform":
+                return cmd_transform(cfg, output_dir, args.quiet)
+            return cmd_nonlocal_check(cfg, output_dir, args.quiet, args.auto_shrink_t0)
+        except (ConfigError, GraphEvolveError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # numpy names the size it could not allocate
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -6,12 +6,13 @@ Boundary conditions enter as rows of the implicit system:
 * matrices form -- value rows on trace nodes, derivative rows via
   second-order one-sided stencils, U-terms on trace nodes, all read from the
   nonzeros of the vertex blocks and of the sparse U rows;
-* spaces form whose every vertex block (``bc.groups``) is continuity
-  plus Kirchhoff flux balance, as from the standard, delta and
-  nonlocal-matrices builders -- continuity rows plus one conservative
-  half-cell balance row per vertex, which conserve discrete mass exactly for
-  edgewise-constant lambda under pure Kirchhoff coupling; any other spaces
-  form, partitioned or not, is converted to the matrices form;
+* spaces form marked ``kirchhoff`` by the standard, delta and
+  nonlocal-matrices builders, whose every vertex block (``bc.groups``) is
+  continuity plus Kirchhoff flux balance -- continuity rows plus one
+  conservative half-cell balance row per vertex, which conserve discrete mass
+  exactly for edgewise-constant lambda under pure Kirchhoff coupling; any
+  other spaces form, hand-built Kirchhoff blocks included, is converted to
+  the matrices form;
 * nonlocal interval kernels -- quadrature rows tying each endpoint value to a
   weighted integral of the whole profile;
 * external edges -- truncated with a homogeneous far-end row.
@@ -192,7 +193,7 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
             raise DimensionMismatchError(
                 "nonlocal interval kernels require a single internal edge"
             )
-    elif _is_kirchhoff(bc):
+    elif bc.kirchhoff:
         mode = "continuity"
     else:
         mode = "matrices"
@@ -211,22 +212,23 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     spacing = np.array([s[1] - s[0] for s in grids])
     total = int(sizes.sum())
+    lam = np.concatenate(lams)
     a, b = _Triplets(), _Triplets()
-    row = 0
 
-    # interior theta-scheme rows, one block of n - 1 rows per edge
-    for off, h, lam in zip(offsets, spacing, lams):
-        n = lam.size - 1
-        r = h * h / (lam[1:n] * dt)  # scaled so diagonals stay O(1)
-        rows = row + np.arange(n - 1)
-        nodes = off + np.arange(1, n)
-        a.add(rows, nodes, r + 2.0 * theta)
-        a.add(rows, nodes - 1, -theta)
-        a.add(rows, nodes + 1, -theta)
-        b.add(rows, nodes, r - 2.0 * (1.0 - theta))
-        b.add(rows, nodes - 1, 1.0 - theta)
-        b.add(rows, nodes + 1, 1.0 - theta)
-        row += n - 1
+    # interior theta-scheme rows over the packed grid, edge after edge
+    interior = np.ones(total, dtype=bool)
+    interior[offsets] = interior[offsets + sizes - 1] = False
+    nodes = np.flatnonzero(interior)
+    h = np.repeat(spacing, sizes - 2)
+    r = h * h / (lam[nodes] * dt)  # scaled so diagonals stay O(1)
+    rows = np.arange(nodes.size)
+    a.add(rows, nodes, r + 2.0 * theta)
+    a.add(rows, nodes - 1, -theta)
+    a.add(rows, nodes + 1, -theta)
+    b.add(rows, nodes, r - 2.0 * (1.0 - theta))
+    b.add(rows, nodes - 1, 1.0 - theta)
+    b.add(rows, nodes + 1, 1.0 - theta)
+    row = nodes.size
 
     # external far-end truncation rows
     a.add(row + np.arange(g.l), offsets[:g.l] + sizes[:g.l] - 1, 1.0)
@@ -240,7 +242,6 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     if mode == "nonlocal":
         row = _assemble_nonlocal_rows(a, row, grids[g.l], offsets[g.l], nonlocal_kernels)
     elif mode == "continuity":
-        lam = np.concatenate(lams)
         lam_half = 0.5 * (lam[node] + lam[node + inward])
         row = _assemble_vertex_rows(a, b, row, bc, node, inward, h, lam_half, dt, theta)
     else:
@@ -252,29 +253,6 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     factor, cond = factorize(a.to_coo(total).tocsc())
     return HeatState(g, 0.0, dt, theta, tuple(grids), tuple(lams), offsets,
                      np.concatenate(values), factor, b.to_coo(total).tocsr(), cond, mode)
-
-
-def _is_kirchhoff(bc: BoundarySpacesBC) -> bool:
-    """Whether every vertex block of `bc` is continuity plus Kirchhoff flux balance.
-
-    A block qualifies if its Y1 is one column, constant on the block's slots,
-    and its Y0 columns have vanishing mu-weighted sums (to within
-    100 * deg * eps of the largest mu-weighted entry): flux trace in Y0 then
-    says that the lambda-weighted outward derivatives sum to zero.  Needs a
-    partitioned condition and the endpoint speeds.
-    """
-    if not bc.partitioned or bc.mu_endpoints is None:
-        return False
-    eps = np.finfo(float).eps
-    for g in bc.groups:
-        y1, y0 = g.value_block, g.flux_block
-        mu = bc.mu_endpoints[g.slots]
-        weighted = np.abs(mu[:, :, None] * y0).max(axis=(1, 2), initial=0.0)
-        sums = np.abs(mu[:, None, :] @ y0)[:, 0, :]
-        if y1.shape[2] != 1 or np.any(y1 != y1[:, :1]) or \
-                np.any(sums > 100 * g.slots.shape[1] * eps * weighted[:, None]):
-            return False
-    return True
 
 
 def _assemble_nonlocal_rows(a, row, s, off, kernels):

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -401,3 +402,20 @@ def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, 
     assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet") == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_isolated_vertex_warning_is_one_plain_line(tmp_path, capsys, command):
+    """The library's UserWarning reaches the CLI user as one `warning:` line,
+    the exit code stays 0, and main leaves the warning hook as it found it."""
+    text = (CONFIGS / "kirchhoff-star-heat.cfg").read_text()
+    cfg = tmp_path / "spare.cfg"
+    cfg.write_text(text.replace("leaf3]\n", "leaf3, spare]\n", 1).replace("T: 1.0", "T: 0.1"))
+    hook = warnings.showwarning
+    assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet") == 0
+    assert capsys.readouterr().err == "warning: isolated vertices present: [4]\n"
+    assert warnings.showwarning is hook
+    with warnings.catch_warnings():  # the caller's filters still apply inside main
+        warnings.simplefilter("error", UserWarning)
+        assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet") == 1
+    assert capsys.readouterr().err == "error: graph: isolated vertices present: [4]\n"

@@ -251,7 +251,9 @@ def test_partitioned_dirichlet_spaces_take_matrices_path(interval):
 def test_non_kirchhoff_blocks_take_matrices_path(compact_star):
     """The centre block of `from_standard` with its Y0 block replaced by one
     that is not the mu-weighted (1, ..., 1)-perp, or its Y1 column by a
-    non-constant one, is not Kirchhoff; another basis of that perp still is."""
+    non-constant one, is not Kirchhoff.  Another basis of that perp is, but
+    hand-built blocks carry no builder mark, so it too takes the matrices
+    path; it agrees with the builder's continuity run to second order in h."""
     coeffs = ge.EdgeCoefficients(tuple(ge.constant(c) for c in (1.0, 2.0, 0.5)), ())
     standard = ge.from_standard(compact_star, coeffs)
     centre = standard.partition.slots[0]
@@ -273,8 +275,19 @@ def test_non_kirchhoff_blocks_take_matrices_path(compact_star):
         st = final(bc)
         assert st.path == "matrices"
         assert np.array_equal(st.vector(), final(ge.to_boundary_matrices(bc, 0, 3)).vector())
-    assert final(centre_block(np.ones((3, 1)), perp @ rng.standard_normal((2, 2)))).path \
-        == "continuity"
+    rebased = centre_block(np.ones((3, 1)), perp @ rng.standard_normal((2, 2)))
+    gaps = []
+    for n in (16, 32, 64):
+        finals = []
+        for bc in (standard, rebased):
+            st = ge.heat_init(compact_star, coeffs, bc, init, 0.1 / (2 * n * n), n_per_edge=n)
+            st, _, _ = ge.heat_run(st, 0.1, record_stride=2 * n * n)
+            finals.append((st.path, st.vector()))
+        (path_a, a), (path_b, b) = finals
+        assert (path_a, path_b) == ("continuity", "matrices")
+        gaps.append(np.linalg.norm(a - b) / np.linalg.norm(a))
+    assert gaps[0] / gaps[1] >= 3.0 and gaps[1] / gaps[2] >= 3.0, gaps
+    assert gaps[2] <= 1e-3, gaps
 
 
 @pytest.mark.parametrize("build", [
@@ -290,6 +303,40 @@ def test_continuity_builders_take_finite_volume_path(compact_star, build):
     st = ge.heat_init(compact_star, coeffs, build(compact_star, coeffs), init,
                       dt=1e-3, n_per_edge=40)
     assert st.path == "continuity"
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_only_builder_output_takes_continuity_path(builder):
+    """Heat picks its path by the builders' mark, not by the block values:
+    every copy of a builder's Kirchhoff blocks that the builder did not return
+    takes the matrices path, and the exact copies match the converted form."""
+    rng = np.random.default_rng(4)  # 4 vertices, 6 internal and 2 external edges
+    g = random_graph(rng, max_n=5, max_m=6, max_l=2)
+    coeffs = random_coeffs(rng, g)
+    bc = local_condition(rng, g, coeffs, builder)
+    init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(g.m)),
+                          tuple(ge.EdgeInitial(ge.zero_profile()) for _ in range(g.l)))
+
+    def start(form):
+        return ge.heat_init(g, coeffs, form, init, dt=1e-3, n_per_edge=8,
+                            external_lengths=[1.0] * g.l)
+
+    d = bc.groups[0].flux_block.shape[2]
+    rebased = with_block(bc, 0, flux_block=bc.groups[0].flux_block[0]
+                         @ (np.eye(d) + 0.1 * rng.standard_normal((d, d))))
+    copied = ge.BoundarySpacesBC.from_blocks(bc.groups, bc.sparse_U,
+                                             mu_endpoints=bc.mu_endpoints)
+    twin = dataclasses.replace(bc)
+    converted = ge.to_boundary_matrices(bc, g.l, g.m)
+    assert bc.kirchhoff and copy.deepcopy(bc).kirchhoff
+    assert start(bc).path == start(copy.deepcopy(bc)).path == "continuity"
+    for form in (rebased, copied, twin, converted):
+        assert not isinstance(form, ge.BoundarySpacesBC) or not form.kirchhoff
+        assert start(form).path == "matrices"
+    states = [start(copied), start(converted)]
+    for st in states:
+        ge.heat_step(st, 5)
+    assert np.array_equal(states[0].vector(), states[1].vector())
 
 
 def test_continuity_and_matrices_paths_converge_to_each_other():
@@ -567,6 +614,41 @@ def test_vertex_rows_match_per_endpoint_reference(monkeypatch, builder, n_per_ed
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_interior_rows_match_per_edge_reference(monkeypatch, theta):
+    """The interior theta-rows, built over the packed grid, are bit for bit
+    those of the per-edge loop they replaced, in both a and b."""
+    rng = np.random.default_rng(26)  # 6 vertices, 4 internal and 2 external edges
+    g = random_graph(rng, max_n=6, max_m=8, max_l=3)
+    coeffs = ge.EdgeCoefficients(
+        tuple(ge.sampled(rng.uniform(0.25, 4.0, 5)) for _ in range(g.m)),
+        tuple(ge.sampled(rng.uniform(0.25, 4.0, 5), 1.5) for _ in range(g.l)))
+    init = ge.InitialData(tuple(ge.EdgeInitial(ge.zero_profile()) for _ in range(g.m)),
+                          tuple(ge.EdgeInitial(ge.zero_profile(length=1.5)) for _ in range(g.l)))
+    dt, n_per_edge = 1e-3, 9
+    captured = []
+    monkeypatch.setattr(heat, "factorize", lambda a: (captured.append(a), factorize(a))[1])
+    st = ge.heat_init(g, coeffs, ge.from_standard(g, coeffs), init, dt=dt, theta=theta,
+                      n_per_edge=n_per_edge, external_lengths=(1.5,) * g.l)
+    edges, offsets, _ = reference_layout(g, coeffs, n_per_edge, (1.5,) * g.l)
+    a, b = heat._Triplets(), heat._Triplets()
+    row = 0
+    for off, e in zip(offsets, edges):
+        n = e.u.size - 1
+        for i in range(1, n):
+            r = e.h * e.h / (e.lam[i] * dt)
+            for triplets, diag, side in ((a, r + 2.0 * theta, -theta),
+                                         (b, r - 2.0 * (1.0 - theta), 1.0 - theta)):
+                triplets.add(row, off + i, diag)
+                triplets.add(row, off + i - 1, side)
+                triplets.add(row, off + i + 1, side)
+            row += 1
+    total = st.u.size
+    for got, want in ((captured[0].tocsr(), a), (st.explicit, b)):
+        want = want.to_coo(total).tocsr()
+        assert np.array_equal(got[:row].toarray(), want[:row].toarray())
+
+
 def test_gate_refuses_exactly_singular_matrix():
     a = scipy.sparse.csc_array(np.array([[1.0, 2.0, 0.0],
                                          [2.0, 4.0, 0.0],
@@ -640,3 +722,48 @@ def test_twenty_thousand_unknowns_fit_and_conserve_mass():
     for _ in range(5):
         ge.heat_step(st)
     assert abs(mass(st) - m0) <= 1e-8 * abs(m0)
+
+
+def test_norm_bound_is_uniform_in_h():
+    """Stability in h of both boundary paths: max_t ||u(t)|| / ||u(0)|| in L2 and
+    L1 stays put as the cells shrink, for theta = 1/2 and 1.  The random
+    nonlocal matrices (scaled by 5, not self-adjoint) make the norms grow
+    1.7-7 fold by T = 0.2, so the bound is not the trivial 1 of dissipation;
+    the matrices path must also reach the continuity path's bound.  A
+    derivative stencil pointing the wrong way at f_i(1) grows 2-5 fold per
+    halving of h on two of these graphs."""
+    rng = np.random.default_rng(0)
+
+    def growth(st, steps=200):
+        w = np.concatenate([np.r_[0.5, np.ones(s.size - 2), 0.5] * (s[1] - s[0])
+                            for s in st.grids])  # trapezoid weights
+
+        def norms():
+            a = np.abs(st.u)
+            return np.array([np.sqrt(w @ a ** 2), w @ a])
+
+        first = top = norms()
+        for _ in range(steps):
+            ge.heat_step(st)
+            top = np.maximum(top, norms())
+        return top / first
+
+    for _ in range(4):
+        g = random_graph(rng, max_n=5, max_m=8, max_l=0)
+        coeffs = random_coeffs(rng, g)
+        bc = ge.from_nonlocal_matrices(g, coeffs, np.zeros((0, 0)),
+                                       5.0 * rng.uniform(-1.0, 1.0, (g.m, g.m)),
+                                       5.0 * rng.uniform(-1.0, 1.0, (g.m, g.m)))
+        init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(float(rng.uniform(0.2, 0.8)), 0.1))
+                                    for _ in range(g.m)), ())
+        for theta in (0.5, 1.0):
+            bounds = {}
+            for form in (bc, ge.to_boundary_matrices(bc, g.l, g.m)):
+                ratios = []
+                for n in (16, 32, 64):
+                    st = ge.heat_init(g, coeffs, form, init, 1e-3, theta=theta, n_per_edge=n)
+                    ratios.append(growth(st))
+                assert np.all(ratios[1] <= 1.05 * ratios[0]), (st.path, ratios)
+                assert np.all(ratios[2] <= 1.05 * ratios[1]), (st.path, ratios)
+                bounds[st.path] = ratios[2]
+            assert np.allclose(bounds["matrices"], bounds["continuity"], rtol=0.05), bounds
