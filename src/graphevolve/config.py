@@ -399,13 +399,13 @@ def _parse_sim(section, path="sim") -> SimConfig:
     )
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML config into a RunConfig."""
+def parse_config(text: str | bytes) -> RunConfig:
+    """Parse and validate a YAML config (text, or bytes that YAML decodes) into a RunConfig."""
     try:
         doc = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
+    except yaml.YAMLError as exc:  # PyYAML's message spans lines; an error is one
         line = getattr(getattr(exc, "problem_mark", None), "line", None)
-        raise ParseError(line + 1 if line is not None else "?", str(exc))
+        raise ParseError(line + 1 if line is not None else "?", " ".join(str(exc).split()))
     if not isinstance(doc, dict):
         _fail("<root>", "config must be a map of sections")
 

@@ -300,20 +300,21 @@ def check_nonlocal_interval(h0_samples, h1_samples, t0: float) -> WellPosednessR
 
 def _convolution_block(samples: np.ndarray, t0: float, n: int,
                        reflected: bool) -> np.ndarray:
-    """Lower-triangular trapezoid discretization of the Volterra convolution."""
+    """Lower-triangular trapezoid discretization of the Volterra convolution.
+
+    Entry (i, j), 0 <= j <= i, multiplies u(t_j) by w h((i - j) dt), with the
+    trapezoid weight w = dt halved at j = 0 and j = i; row 0 is zero.
+    """
     samples = np.asarray(samples, dtype=complex).ravel()
     grid = np.linspace(0.0, 1.0, samples.size)
     dt = t0 / (n - 1)
+    s = np.arange(n) * dt  # the lags t_i - t_j
+    arg = (1.0 - s) if reflected else s
+    h = np.interp(arg, grid, samples.real) + 1j * np.interp(arg, grid, samples.imag)
+    i, j = (index[1:] for index in np.tril_indices(n))  # drop (0, 0): row 0 is zero
+    w = np.where((j == 0) | (j == i), dt * 0.5, dt)
     block = np.zeros((n, n), dtype=complex)
-    for i in range(1, n):
-        s = np.arange(i + 1) * dt  # integration nodes on [0, t_i]
-        arg = (1.0 - s) if reflected else s
-        h = np.interp(arg, grid, samples.real) + 1j * np.interp(arg, grid, samples.imag)
-        w = np.full(i + 1, dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        # entry (i, j) multiplies u(t_j) with s = t_i - t_j
-        block[i, i::-1] += w * h
+    block[i, j] += w * h[i - j]  # onto +0, as a sum: a -0.0 product reads +0.0
     return block
 
 

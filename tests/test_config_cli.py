@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import graphevolve as ge
+from graphevolve import cli
 from graphevolve.cli import main
 from graphevolve.config import parse_config
+from graphevolve.timeloop import Diagnostics
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "cli_small"
@@ -419,3 +421,92 @@ def test_isolated_vertex_warning_is_one_plain_line(tmp_path, capsys, command):
         warnings.simplefilter("error", UserWarning)
         assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet") == 1
     assert capsys.readouterr().err == "error: graph: isolated vertices present: [4]\n"
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("lead", [b"\xff\x41", b"graph: [a, b\n"], ids=["not-utf8", "syntax"])
+def test_unreadable_config_is_one_error_line(tmp_path, capsys, command, lead):
+    """A config that is neither UTF-8 nor UTF-16, or not YAML, exits 1 with one
+    `error:` line, although PyYAML's own message spans several."""
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_bytes(lead + (CONFIGS / "kirchhoff-star-heat.cfg").read_bytes())
+    assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bytes.cfg"]
+
+
+def test_utf16_config_reads_as_its_utf8_twin(tmp_path):
+    """YAML decodes the config's bytes, so a UTF-16 file with a byte-order mark
+    gives the report of the same text in UTF-8, whatever the locale."""
+    text = (CONFIGS / "star3.cfg").read_text(encoding="utf-8")
+    for name, encoding in (("utf8", "utf-8"), ("utf16", "utf-16")):
+        (tmp_path / f"{name}.cfg").write_text(text, encoding=encoding)
+        assert run_cli("check", tmp_path / f"{name}.cfg", "--output-dir", tmp_path / name,
+                       "--quiet") == 0
+    assert ((tmp_path / "utf16" / "report.json").read_bytes()
+            == (tmp_path / "utf8" / "report.json").read_bytes())
+
+
+# Values whose 17-digit text the shipped configs never produce: signed zeros,
+# infinities, nan, subnormals, and doubles whose repr needs all 17 digits.
+SPECIAL = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072009e-308,
+           0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 1e300, -1.7976931348623157e308,
+           123456789.12345679, 1.0, -7.0, 9007199254740993.0]
+
+
+def _fmt17(x):
+    return f"{float(x):.17g}"
+
+
+def reference_solution_csv(snapshots, edge_tags, with_ut):
+    """The per-row f-strings that wrote solution.csv before the row templates."""
+    lines = ["t,edge_kind,edge_index,s,u" + (",ut" if with_ut else "") + "\n"]
+    for snap in snapshots:
+        t = _fmt17(snap[0])
+        for n, (kind, idx, s_grid) in enumerate(edge_tags):
+            prefix = f"{t},{kind},{idx},"
+            columns = [s_grid.tolist(), *(field[n].real.tolist() for field in snap[1:])]
+            if with_ut:
+                lines += [f"{prefix}{s:.17g},{u:.17g},{ut:.17g}\n" for s, u, ut in zip(*columns)]
+            else:
+                lines += [f"{prefix}{s:.17g},{u:.17g}\n" for s, u in zip(*columns)]
+    return "".join(lines)
+
+
+def special_columns(rng, size):
+    return rng.permutation(np.resize(np.array(SPECIAL), size))
+
+
+def test_writers_keep_the_17_digit_bytes(tmp_path):
+    """The row templates write what the per-row f-strings wrote, value for value."""
+    rng = np.random.default_rng(7)
+    edge_tags = [("e", 0, special_columns(rng, 3)), ("i", 0, special_columns(rng, 40)),
+                 ("i", 1, np.linspace(0.0, 1.0, 17))]
+    sizes = [tag[2].size for tag in edge_tags]
+    times = [np.float64(-0.0), 0.1 + 0.2, 5e-324, np.inf]
+    heat = [(t, [special_columns(rng, k) + 0j for k in sizes]) for t in times]
+    for _, u in heat:  # an imaginary part, which the writer drops
+        for field in u:
+            field.imag = special_columns(rng, field.size)
+    wave = [(t, [special_columns(rng, k) for k in sizes], [special_columns(rng, k) for k in sizes])
+            for t in times]
+    for records, with_ut in ((heat, False), (wave, True)):
+        cli._write_solution_csv(tmp_path / "solution.csv", records, edge_tags)
+        assert ((tmp_path / "solution.csv").read_text()
+                == reference_solution_csv(records, edge_tags, with_ut))
+
+    diag = Diagnostics()
+    for t, e, m in zip(*(special_columns(rng, 20).tolist() for _ in range(3))):
+        diag.record(t, e, m)
+    cli._write_diagnostics_csv(tmp_path / "diagnostics.csv", diag)
+    assert (tmp_path / "diagnostics.csv").read_text() == "t,energy,mass\n" + "".join(
+        f"{_fmt17(t)},{_fmt17(e)},{_fmt17(m)}\n"
+        for t, e, m in zip(diag.times, diag.energy, diag.mass))
+
+    rows = [(kind, j, *special_columns(rng, 4)) for j, kind in enumerate("iie" * 7)]
+    cli._write_transform_csv(tmp_path / "transform.csv", rows)
+    assert (tmp_path / "transform.csv").read_text() == (
+        "edge_kind,edge_index,phi_end,cbar,mu_start,mu_end\n" + "".join(
+            f"{kind},{idx},{_fmt17(phi)},{_fmt17(cbar)},{_fmt17(mu0)},{_fmt17(mu1)}\n"
+            for kind, idx, phi, cbar, mu0, mu1 in rows))

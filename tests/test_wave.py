@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import graphevolve as ge
-from conftest import dirichlet_interval_bc, periodic_loop_bc, star3_bc
+from conftest import dirichlet_interval_bc, periodic_loop_bc, random_mesh, star3_bc
 from graphevolve.wave import _snapshot, energy, mass
 
 
@@ -187,6 +187,43 @@ def test_energy_conservation_star(compact_star):
     st, diag, _ = ge.wave_run(st, 10.0, record_stride=100)
     e = np.array(diag.energy)
     assert np.max(np.abs(e - e[0])) / e[0] <= 1e-6
+
+
+def unitary_vertex_condition(g, rng, noise=0.0):
+    """A dense spaces form with Λ = 0 in the (P_D, P_N, Λ) form: at each vertex a
+    random unitary Q_v, whose first r_v columns span Y1 and the rest Y0 = Y1-perp.
+    `noise` adds that multiple of complex noise to the Y0 columns on the same slots."""
+    y1, y0 = [], []
+    for slots in ge.vertex_slots(g):
+        d = len(slots)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        r = int(rng.integers(1, d)) if d > 1 else int(rng.integers(2))
+        q[:, r:] += noise * (rng.normal(size=(d, d - r)) + 1j * rng.normal(size=(d, d - r)))
+        for cols, out in ((q[:, :r], y1), (q[:, r:], y0)):
+            block = np.zeros((g.trace_dim, cols.shape[1]), dtype=complex)
+            block[slots] = cols
+            out.append(block)
+    return ge.BoundarySpacesBC(np.hstack(y1), np.hstack(y0), mu_endpoints=np.ones(g.trace_dim))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_self_adjoint_condition_conserves_energy(seed):
+    """Λ = 0 makes the vertex scattering matrix unitary, so the exact-shift scheme
+    conserves the energy to rounding; a Y0 tilted off Y1-perp does not."""
+    drift = {}
+    for noise in (0.0, 0.2):
+        rng = np.random.default_rng(seed)
+        g, _ = random_mesh(rng, 6, 10, 0)  # connected, compact, unit speeds below
+        bc = unitary_vertex_condition(g, rng, noise)
+        init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(rng.uniform(0.3, 0.7), 0.08,
+                                                              amplitude=rng.normal()))
+                                    for _ in range(g.m)), ())
+        st = ge.wave_init(g, ge.unit_coefficients(g.m), bc, init, dt_target=1 / 64, T=2.0)
+        _, diag, _ = ge.wave_run(st, 2.0, record_stride=16)
+        e = np.array(diag.energy)
+        drift[noise] = np.max(np.abs(e - e[0])) / e[0]
+    assert drift[0.0] <= 1e-12
+    assert drift[0.2] > 1e-3
 
 
 def test_kirchhoff_scattering(compact_star):

@@ -6,7 +6,7 @@ import pytest
 import graphevolve as ge
 from conftest import (coupled_endpoints_bc, dirichlet_interval_bc,
                       periodic_loop_bc, random_coeffs, random_graph, star3_bc)
-from graphevolve.wellposed import _permutation_sign
+from graphevolve.wellposed import _convolution_block, _permutation_sign
 
 
 def test_star3_determinant():
@@ -200,6 +200,61 @@ def test_discretize_lower_triangular_structure():
     blocks = np.eye(16) - r
     for block in (blocks[:8, :8], blocks[:8, 8:], blocks[8:, :8], blocks[8:, 8:]):
         assert np.allclose(np.triu(block, 1), 0.0)
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+def test_convolution_block_closed_form(reflected):
+    """Entry (i, j) is w h((i - j) dt), with the trapezoid weight w = dt halved at
+    j = 0 and j = i, and row 0 is zero.  dt = 1/8 and the samples are dyadic, so
+    interpolation and products are exact and the entries are asserted exactly."""
+    n, t0 = 5, 0.5
+    weights = np.array([[0, 0, 0, 0, 0],
+                        [1, 1, 0, 0, 0],
+                        [1, 2, 1, 0, 0],
+                        [1, 2, 2, 1, 0],
+                        [1, 2, 2, 2, 1]]) / 16.0
+    lag = np.tril(np.subtract.outer(np.arange(n), np.arange(n))) / 8.0  # (i - j) dt
+    s = 1.0 - lag if reflected else lag  # the kernel's argument
+    constant = _convolution_block(np.full(9, 3.0 - 2.0j), t0, n, reflected)
+    assert np.array_equal(constant, weights * (3.0 - 2.0j))
+    linear = _convolution_block(np.array([1.0, 2.0, 3.0]), t0, n, reflected)  # h = 1 + 2s
+    assert np.array_equal(linear, weights * (1.0 + 2.0 * s))
+
+
+def per_row_convolution_block(samples, t0, n, reflected):
+    """The per-row trapezoid loop that built the block before one gather did."""
+    samples = np.asarray(samples, dtype=complex).ravel()
+    grid = np.linspace(0.0, 1.0, samples.size)
+    dt = t0 / (n - 1)
+    block = np.zeros((n, n), dtype=complex)
+    for i in range(1, n):
+        s = np.arange(i + 1) * dt
+        arg = (1.0 - s) if reflected else s
+        h = np.interp(arg, grid, samples.real) + 1j * np.interp(arg, grid, samples.imag)
+        w = np.full(i + 1, dt)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        block[i, i::-1] += w * h
+    return block
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_convolution_block_matches_per_row_loop(seed):
+    """Bit for bit, signed zeros included.  Samples of a few -5e-324 make
+    products that underflow to -0.0 (in the real part, and with negative
+    imaginary samples in the imaginary part), which the loop's sum onto +0
+    turns into +0.0."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 60))
+    samples = rng.normal(size=m) + 1j * rng.normal(size=m)
+    if seed % 3 == 1:
+        samples = -np.abs(samples) * 1e-323 + 0j
+    if seed % 3 == 2:
+        samples = -(np.abs(samples.real) + 1j * np.abs(samples.imag)) * 1e-323
+    t0, n = float(rng.uniform(0.05, 0.9)), int(rng.choice([4, 17, 64]))
+    for reflected in (False, True):
+        assert (_convolution_block(samples, t0, n, reflected).tobytes()
+                == per_row_convolution_block(samples, t0, n, reflected).tobytes())
 
 
 def test_nonlocal_soundness():
