@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                          file=sys.stderr)
         try:
-            cfg = parse_config(Path(args.config).read_bytes())  # YAML decodes it
+            cfg = parse_config(Path(args.config).read_bytes(), args.config)  # YAML decodes it
             output_dir = Path(args.output_dir)
             if args.command == "check":
                 return cmd_check(cfg, output_dir, args.quiet)

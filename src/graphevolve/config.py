@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -399,13 +400,26 @@ def _parse_sim(section, path="sim") -> SimConfig:
     )
 
 
-def parse_config(text: str | bytes) -> RunConfig:
-    """Parse and validate a YAML config (text, or bytes that YAML decodes) into a RunConfig."""
+def parse_config(text: str | bytes, name: str | None = None) -> RunConfig:
+    """Parse and validate a YAML config (text, or bytes that YAML decodes) into a RunConfig.
+
+    `name`, the file the text was read from, names it in YAML's error messages.
+    """
     try:
         doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:  # PyYAML's message spans lines; an error is one
-        line = getattr(getattr(exc, "problem_mark", None), "line", None)
-        raise ParseError(line + 1 if line is not None else "?", " ".join(str(exc).split()))
+        if isinstance(exc, yaml.reader.ReaderError):  # position: offset of the bad character
+            before = text[:exc.position]
+            if isinstance(before, bytes):  # UTF-16 after a byte-order mark, else UTF-8
+                utf16 = before[:2] in (b"\xff\xfe", b"\xfe\xff")
+                before = before.decode("utf-16" if utf16 else "utf-8", "replace")
+            line = before.count("\n")
+        else:
+            line = getattr(getattr(exc, "problem_mark", None), "line", None)
+        message = " ".join(str(exc).split())
+        if name is not None:  # YAML names what it read "<byte string>" or "<unicode string>"
+            message = re.sub(r'"<(byte|unicode) string>"', lambda _: f'"{name}"', message)
+        raise ParseError(line + 1 if line is not None else "?", message)
     if not isinstance(doc, dict):
         _fail("<root>", "config must be a map of sections")
 

@@ -14,15 +14,18 @@ ring head of every edge: node i of the left-moving p and G sits at ring slot
 (i + k) mod size, node i of the right-moving q and F at (i - k) mod size.  A
 step therefore moves no interior data; it gathers and scatters only the
 l + 2m vertex slots, vectorized over all edges, and costs O(vertices) rather
-than O(cells).  The vertex map is a product with the scattering matrix that
-``vertex_update_matrix`` builds once per run.
+than O(cells).  The vertex map is a product with the scattering blocks that
+``vertex_update_matrix`` builds once per run, stacked by block size.
 
 Speeds are finite: what a vertex sends out reaches the far end of its edge
 only after a whole transit of n_e = size - 1 steps.  So ``wave_step``
 advances in blocks of K <= min(n_e) steps, whose incoming values are all in
 the rings when the block starts: one gather of a (K, l + 2m) block, one
 product, one scatter, and the trapezoid inflow of F and G added step after
-step, so a block writes the bytes K single steps write.  The time loop asks
+step, so a block writes the bytes K single steps write.  The product keeps
+that: it is one BLAS product per step and vertex, the same call for any K
+(``VertexUpdate.solve``), where one product over the K steps' columns
+would round differently for each K.  The time loop asks
 for a whole record interval at once.  A condition with zeroth-order terms
 (a value map) reads u = F + G at the vertices, which the step before
 writes, and advances one step per block.

@@ -26,6 +26,7 @@ block, the whole matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -53,28 +54,65 @@ class VertexUpdate:
     """The vertex scattering map from incoming to outgoing characteristic values.
 
     Outgoing order: (q_e(0), p_i(1), q_i(0)); incoming: (p_e(0), q_i(1), p_i(0)).
-    The update is  x = scattering @ y + value_map @ value_trace: the solution
-    of  m_out @ x = -(m_in @ y + u_rhs @ value_trace)  with m_in the criterion
+    The update is  x = S @ y + value_map @ value_trace: the solution of
+    m_out @ x = -(m_in @ y + u_rhs @ value_trace)  with m_in the criterion
     matrix with its rows halved, m_out the same with its flux rows negated,
-    and u_rhs the zeroth-order rows.  ``scattering`` (CSR) holds one block
-    per vertex; ``value_map`` (CSR) is None without zeroth-order terms, and
-    then ``solve`` does not read the value trace.  ``m_out`` (CSR) is kept as
-    the matrix the update inverts.  Nothing here changes after construction,
-    so a deep copy shares it.
+    and u_rhs the zeroth-order rows.
+
+    S is one d x d block per vertex.  ``stacks`` holds them per size d as
+    (slots, blocks): the trace slots (count, d) and the blocks (count, d, d),
+    in float64 when they are real.  ``order`` lists the slots, stack after
+    stack, and ``inverse`` undoes it.  ``solve`` takes the incoming values into
+    that order once, runs one matmul per stack whose core is one
+    (d x d) @ (d x r) product per step and vertex, and takes the result back
+    once: a real stack multiplies the float64 view of the complex values
+    (r = 2), a complex stack the values (r = 1).  A step makes the same BLAS
+    calls however many steps its block holds, so a block of K steps gives the
+    bytes of K single steps.  ``scattering`` (S) and ``m_out``, the matrix the
+    update inverts, are CSR assembled on first read.  ``value_map`` (CSR) is
+    None without zeroth-order terms, and then ``solve`` does not read the
+    value trace.  Nothing here changes after construction, so a deep copy
+    shares it.
     """
 
-    m_out: scipy.sparse.csr_array
-    scattering: scipy.sparse.csr_array
+    stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    order: np.ndarray
+    inverse: np.ndarray
     value_map: scipy.sparse.csr_array | None
+    m_out_blocks: tuple = field(repr=False)  # (rows, cols, block) of m_out per block group
+
+    @cached_property
+    def scattering(self) -> scipy.sparse.csr_array:
+        return block_matrix([(slots, slots, s.astype(complex)) for slots, s in self.stacks],
+                            (self.order.size,) * 2)
+
+    @cached_property
+    def m_out(self) -> scipy.sparse.csr_array:
+        return block_matrix(self.m_out_blocks, (self.order.size,) * 2)
 
     def solve(self, incoming: np.ndarray, value_trace: np.ndarray | None) -> np.ndarray:
         """Outgoing values of one step, or one row per step for a (K, n) block."""
-        outgoing = (self.scattering @ incoming.T).T
-        if self.value_map is not None:
-            outgoing = outgoing + (self.value_map @ value_trace.T).T
+        x = np.atleast_2d(incoming).astype(complex, copy=False).take(self.order, axis=1)
+        out = np.empty_like(x)
+        k = x.shape[0]
+        views = {np.dtype(float): (x.view(float).reshape(k, -1, 2),
+                                   out.view(float).reshape(k, -1, 2)),
+                 np.dtype(complex): (x[:, :, None], out[:, :, None])}
+        start = 0
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
+            for slots, s in self.stacks:
+                src, dst = views[s.dtype]
+                end = start + slots.size
+                shape = (k, *slots.shape, src.shape[2])  # splitting an axis keeps a view
+                np.matmul(s, src[:, start:end].reshape(shape),
+                          out=dst[:, start:end].reshape(shape))
+                start = end
+            outgoing = out.take(self.inverse, axis=1)
+            if self.value_map is not None:
+                outgoing = outgoing + (self.value_map @ value_trace.T).T
         if not np.isfinite(outgoing).all():
             raise ValueError("array must not contain infs or NaNs")
-        return outgoing
+        return outgoing.reshape(np.shape(incoming))
 
     def __deepcopy__(self, memo):
         return self
@@ -231,7 +269,10 @@ def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None
     taken as decided instead.  A criterion block B whose rows are
     signed by D (+1 on value rows, -1 on flux rows) scatters by
     S_b = -(D B)^-1 B, and the blocks of one shape are solved in one stacked
-    ``np.linalg.solve``.  Zeroth-order rows add the value map
+    ``np.linalg.solve``.  The S blocks are kept stacked by size d, real when
+    their imaginary parts are all zero, for ``VertexUpdate.solve``; no sparse
+    matrix is assembled for S or m_out until one is read.  Zeroth-order rows
+    add the value map
     -m_out^-1 @ u_rhs, whose blocks are -2 (D B)^-1; it is built only when
     the U rows have nonzeros.  Raises SingularUpdateError exactly when the
     criterion fails: det(m_out) = (1/2)^(l+2m) * (-1)^k1 * det(criterion matrix).
@@ -243,12 +284,12 @@ def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None
             raise SingularUpdateError(
                 f"vertex update matrix is singular (sigma_min = {report.sigma_min:.3e})")
     dim, k0, u = bc.trace_dim, bc.k0, bc.sparse_U
-    m_out, scattering, minus_inverse = [], [], []
+    m_out, by_size, minus_inverse = [], {}, []
     for rows, cols, blocks in criterion:
         signed = np.where(rows < k0, 1.0, -1.0)[:, :, None] * blocks  # D B
         m_out.append((rows, cols, 0.5 * signed))
         try:
-            scattering.append((cols, cols, -np.linalg.solve(signed, blocks)))
+            by_size.setdefault(cols.shape[1], []).append((cols, -np.linalg.solve(signed, blocks)))
             if u.nnz:
                 minus_inverse.append((cols, rows, -2.0 * np.linalg.inv(signed)))
         except np.linalg.LinAlgError as exc:  # an exactly singular block
@@ -258,8 +299,12 @@ def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None
         u = u.tocoo()
         u_rhs = scipy.sparse.csr_array((u.data, (k0 + u.row, u.col)), shape=(dim, dim))
         value_map = block_matrix(minus_inverse, (dim, dim)) @ u_rhs
-    return VertexUpdate(block_matrix(m_out, (dim, dim)), block_matrix(scattering, (dim, dim)),
-                        value_map)
+    stacks = []
+    for size in sorted(by_size):
+        cols, blocks = (np.concatenate(x) for x in zip(*by_size[size]))
+        stacks.append((cols, np.ascontiguousarray(blocks if blocks.imag.any() else blocks.real)))
+    order = np.concatenate([cols.ravel() for cols, _ in stacks])
+    return VertexUpdate(tuple(stacks), order, np.argsort(order), value_map, tuple(m_out))
 
 
 def _abs_l1_restricted(samples: np.ndarray, t0: float, reflected: bool) -> float:

@@ -436,6 +436,31 @@ def test_unreadable_config_is_one_error_line(tmp_path, capsys, command, lead):
     assert [p.name for p in tmp_path.iterdir()] == ["bytes.cfg"]
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("encoding, line", [("utf-8", 1), ("utf-8", 5), ("utf-16", 5)])
+def test_unreadable_character_names_its_line_and_file(tmp_path, capsys, command, encoding,
+                                                      line):
+    """A byte that is not UTF-8, or a control character in UTF-16, is reported at
+    its line, in the config's path.  Lines are counted in characters: the
+    U+010A on line 1 holds the byte 0a in UTF-16 but ends no line."""
+    lines = (CONFIGS / "kirchhoff-star-heat.cfg").read_text(encoding="utf-8").split("\n")
+    lines[0] += " \u010a"
+    if encoding == "utf-16":
+        lines[line - 1] += "\x07"
+        data, bad = "\n".join(lines).encode("utf-16"), "#x0007"
+    else:
+        data, bad = [x.encode() for x in lines], "#x00ff"
+        data[line - 1] = b"\xff\x41" + data[line - 1] if line == 1 else data[line - 1] + b"\xff"
+        data = b"\n".join(data)
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_bytes(data)
+    assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: unacceptable character {bad}")
+    assert err.count("\n") == 1 and f'in "{cfg}", position' in err
+    assert "<byte string>" not in err
+
+
 def test_utf16_config_reads_as_its_utf8_twin(tmp_path):
     """YAML decodes the config's bytes, so a UTF-16 file with a byte-order mark
     gives the report of the same text in UTF-8, whatever the locale."""

@@ -767,3 +767,36 @@ def test_norm_bound_is_uniform_in_h():
                 assert np.all(ratios[2] <= 1.05 * ratios[1]), (st.path, ratios)
                 bounds[st.path] = ratios[2]
             assert np.allclose(bounds["matrices"], bounds["continuity"], rtol=0.05), bounds
+
+
+def per_edge_mass(state):
+    return sum(np.trapezoid(e.u.real, dx=e.h) for e in state.edges())
+
+
+def per_edge_energy(state):
+    return sum(0.5 * np.trapezoid(e.lam * np.abs(np.gradient(e.u, e.h)) ** 2, dx=e.h)
+               for e in state.edges())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_diagnostics_match_per_edge_loop(seed):
+    """Mass and energy over the packed vector equal the per-edge trapezoid loop,
+    on seeded meshes with external edges and lambda varying along some edges."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_n=6, max_m=9, max_l=3)
+    coeffs = random_coeffs(rng, g)
+    coeffs = ge.EdgeCoefficients(tuple(ge.quadratic_square(float(rng.uniform(0.5, 2.0)), 0.5)
+                                       if j % 2 else profile
+                                       for j, profile in enumerate(coeffs.internal)),
+                                 coeffs.external)
+    init = ge.InitialData(
+        tuple(ge.EdgeInitial(ge.gaussian(rng.uniform(0.3, 0.7), 0.1, amplitude=rng.normal()))
+              for _ in range(g.m)),
+        tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.2, length=3.0)) for _ in range(g.l)))
+    st = ge.heat_init(g, coeffs, ge.from_standard(g, coeffs), init, dt=1e-3,
+                      n_per_edge=int(rng.integers(4, 40)), external_lengths=(3.0,) * g.l)
+    for _ in range(3):
+        for got, want in ((mass(st), per_edge_mass(st)), (energy(st), per_edge_energy(st))):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        ge.heat_step(st)
+    assert per_edge_energy(st) > 0.0

@@ -16,7 +16,7 @@ import scipy.linalg
 import graphevolve as ge
 from conftest import (BUILDERS, local_condition, random_coeffs, random_graph, random_mesh,
                       with_block)
-from graphevolve.bc import BlockGroup
+from graphevolve.bc import BlockGroup, block_matrix
 
 
 def reference_spaces(bc):
@@ -252,3 +252,96 @@ def test_set_up_memory_grows_with_the_blocks():
         tracemalloc.stop()
     assert update.scattering.shape == (g.trace_dim, g.trace_dim) == (4010, 4010)
     assert peak < 32 * 2**20
+
+
+def criterion_matrices(bc, coeffs):
+    """S = -(D B)^-1 B and m_out = D B / 2 of every criterion block B, as CSR:
+    the matrices the vertex update assembled for each block group before it
+    stacked its blocks by shape."""
+    scattering, m_out = [], []
+    for rows, cols, blocks in ge.wellposed._criterion_blocks(bc, coeffs):
+        signed = np.where(rows < bc.k0, 1.0, -1.0)[:, :, None] * blocks
+        scattering.append((cols, cols, -np.linalg.solve(signed, blocks)))
+        m_out.append((rows, cols, 0.5 * signed))
+    shape = (bc.trace_dim, bc.trace_dim)
+    return block_matrix(scattering, shape), block_matrix(m_out, shape)
+
+
+def unitary_blocks(bc, rng):
+    """The spaces form `bc` with each vertex block's [Y1 | Y0] a random complex unitary."""
+    groups = []
+    for group in bc.groups:
+        count, d = group.slots.shape
+        q, _ = np.linalg.qr(rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d)))
+        a = group.value.shape[1]
+        groups.append(dataclasses.replace(group, value_block=q[:, :, :a], flux_block=q[:, :, a:]))
+    return ge.BoundarySpacesBC.from_blocks(groups, None, mu_endpoints=bc.mu_endpoints)
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "dense-real", "dense-complex", "delta"])
+def test_solve_matches_the_csr_product(case):
+    """The per-shape product equals the CSR product of the same blocks, for real
+    and complex stacks, one dense block, and a δ-coupling's value map, on one
+    step and on a block of steps; a non-finite value raises ValueError."""
+    rng = np.random.default_rng(23)
+    g, coeffs = random_mesh(rng, 12, 20, 3)
+    spaces = local_condition(rng, g, coeffs, "delta" if case == "delta" else "standard")
+    if "complex" in case:
+        spaces = unitary_blocks(spaces, rng)
+    if "dense" in case:
+        spaces = dataclasses.replace(spaces)  # one block over every trace slot
+    matrices = ge.to_boundary_matrices(spaces, g.l, g.m)
+    update = ge.vertex_update_matrix(matrices, coeffs)
+    dim = g.trace_dim
+    # a degree-1 vertex scatters by a real +-1 even when its block is complex
+    assert (np.dtype(complex) in {s.dtype for _, s in update.stacks}) == ("complex" in case)
+    assert ([s.shape for _, s in update.stacks] == [(1, dim, dim)]) == ("dense" in case)
+    assert (update.value_map is not None) == (case == "delta")
+    oracle, _ = criterion_matrices(matrices, coeffs)
+    for shape in ((dim,), (1, dim), (7, dim)):
+        incoming = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                  if update.value_map is not None else None)
+        want = (oracle @ incoming.T).T
+        if values is not None:
+            want = want + (update.value_map @ values.T).T
+        got = update.solve(incoming, values)
+        assert got.shape == shape
+        assert relative_gap(got, want) <= 1e-14
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = incoming.copy()
+            broken[..., dim // 2] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                update.solve(broken, values)
+            if values is not None:
+                values[..., 0] = bad
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    update.solve(incoming, values)
+                values[..., 0] = 0.0
+
+
+def test_wave_init_assembles_no_sparse_update(monkeypatch):
+    """A Kirchhoff wave (no zeroth-order terms) sets up without assembling a
+    sparse matrix for S or m_out; read later, they are the criterion blocks'."""
+    calls = []
+    original = ge.wellposed.block_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ge.wellposed, "block_matrix", counted)
+    g, coeffs = random_mesh(np.random.default_rng(31), 20, 40, 2)
+    bc = ge.from_standard(g, coeffs)
+    init = ge.InitialData(tuple(ge.EdgeInitial(ge.zero_profile()) for _ in range(g.m)),
+                          tuple(ge.EdgeInitial(ge.zero_profile(length=2.0)) for _ in range(g.l)))
+    st = ge.wave_init(g, coeffs, bc, init, dt_target=1 / 20, T=1.0,
+                      external_lengths=(2.0,) * g.l)
+    assert calls == [] and st.update.value_map is None
+    squares = [ge.constant(x**2) for x in st.mu.tolist()]
+    snapped = ge.EdgeCoefficients(tuple(squares[g.l:]), tuple(squares[:g.l]))
+    scattering, m_out = criterion_matrices(ge.to_boundary_matrices(bc, g.l, g.m), snapped)
+    assert np.array_equal(st.update.scattering.toarray(), scattering.toarray())
+    assert np.array_equal(st.update.m_out.toarray(), m_out.toarray())
+    assert st.update.scattering.dtype == scattering.dtype
+    assert len(calls) == 2

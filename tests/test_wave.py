@@ -6,7 +6,7 @@ import pytest
 
 import graphevolve as ge
 from conftest import dirichlet_interval_bc, periodic_loop_bc, random_mesh, star3_bc
-from graphevolve.wave import _snapshot, energy, mass
+from graphevolve.wave import _BLOCK_ENTRIES, _snapshot, energy, mass
 
 
 def kirchhoff_star_matrices(g, coeffs):
@@ -473,6 +473,39 @@ def test_a_block_of_steps_equals_single_steps(star, n):
     assert st.update.value_map is None and sorted(sizes) == [11, 21, 41]
     assert_blocks_match_single_steps(st, n, 4 * max(sizes) + 1)
     assert np.max(np.abs(st.internal[0].u)) > 1e-3  # the vertex coupling kept data alive
+
+
+def seeded_kirchhoff_wave(g, coeffs, rng, external_length=2.0):
+    """A Kirchhoff wave on `g` at dt 1/20, seeded Gaussians on the internal edges."""
+    init = ge.InitialData(
+        tuple(ge.EdgeInitial(ge.gaussian(rng.uniform(0.3, 0.7), 0.1, amplitude=rng.normal()))
+              for _ in range(g.m)),
+        tuple(ge.EdgeInitial(ge.zero_profile(length=external_length)) for _ in range(g.l)))
+    return ge.wave_init(g, coeffs, ge.from_standard(g, coeffs), init, dt_target=1 / 20,
+                        T=10.0, external_lengths=(external_length,) * g.l)
+
+
+@pytest.mark.parametrize("n", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)],
+                         ids=["1", "K-1", "K", "K+1", "3K+2"])
+@pytest.mark.parametrize("shape", ["hub", "mesh"])
+def test_a_block_of_steps_equals_single_steps_on_a_hub_and_a_mesh(shape, n):
+    """As above, for n = a K + b, through at least two wraps of every ring, where each
+    step's vertex product has one large block (a star of 64 internal edges and one
+    external edge: a 65 x 65 block) or many block sizes (a seeded mesh)."""
+    rng = np.random.default_rng(7)
+    if shape == "hub":
+        g = ge.MetricGraph(65, [(0, j) for j in range(1, 65)], [0])
+        coeffs = ge.unit_coefficients(64, 1)
+    else:
+        g, coeffs = random_mesh(rng, 30, 60, 2)
+    st = seeded_kirchhoff_wave(g, coeffs, rng)
+    sizes = [int(e.s.size) for e in st.edges()]
+    block = min(min(sizes) - 1, _BLOCK_ENTRIES // g.trace_dim)
+    assert st.update.value_map is None and block >= 10
+    degrees = [len(slots) for slots in ge.vertex_slots(g)]
+    assert max(degrees) >= 64 if shape == "hub" else len(set(degrees)) >= 5
+    assert_blocks_match_single_steps(st, n[0] * block + n[1], 2 * max(sizes) + 1)
+    assert max(np.max(np.abs(e.u)) for e in st.internal) > 1e-3
 
 
 def record_block_shapes(monkeypatch):
