@@ -46,6 +46,7 @@ from .errors import (
     ExternalEdgesPresentError,
     GraphEvolveError,
     IndexOutOfRangeError,
+    NonFiniteStateError,
     NonPositiveCoefficientError,
     NotComplementaryError,
     NotWellPosedError,

@@ -73,7 +73,11 @@ class UnsupportedNonlocalConditionError(GraphEvolveError):
 
 
 class SupportViolationError(GraphEvolveError):
-    """External-edge initial data is not supported far enough from the cut."""
+    """External-edge initial data do not vanish at the wave's cut, which is exact."""
+
+
+class NonFiniteStateError(GraphEvolveError, ValueError):
+    """A simulated state holds infs or NaNs: its data were not finite, or it diverged."""
 
 
 class SingularSystemError(GraphEvolveError):

@@ -37,7 +37,7 @@ from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices, trac
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, SingularSystemError
 from .graph import MetricGraph
-from .initial import InitialData
+from .initial import InitialData, edge_lengths
 from .timeloop import run
 from .wellposed import require_well_posed
 
@@ -174,11 +174,7 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         raise ValueError("theta must lie in [1/2, 1]")
     if n_per_edge < 4:
         raise ValueError("need at least 4 cells per edge")
-    coeffs.validate_against(g.m, g.l)
-    if len(init.internal) != g.m or len(init.external) != g.l:
-        raise DimensionMismatchError("initial data does not match the edge counts")
-    if len(external_lengths) != g.l:
-        raise DimensionMismatchError("external_lengths must list one length per external edge")
+    lengths = edge_lengths(g, coeffs, init, external_lengths)
 
     require_well_posed(bc, coeffs)
     nonlocal_kernels = None
@@ -200,7 +196,6 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         bc = to_boundary_matrices(bc, g.l, g.m)
 
     # grids, lambda and initial values in edges() order (external, then internal)
-    lengths = [float(L) for L in external_lengths] + [1.0] * g.m
     grids, lams, values = [], [], []
     for L, profile, edge_init in zip(lengths, coeffs.external + coeffs.internal,
                                      init.external + init.internal):

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DimensionMismatchError, DomainError
+
 # elementwise error function; within 1e-15 relative of scipy.special.erf
 _erf = np.vectorize(math.erf, otypes=[float])
 
@@ -131,3 +133,22 @@ class InitialData:
 
     internal: tuple[EdgeInitial, ...] = ()
     external: tuple[EdgeInitial, ...] = ()
+
+
+def edge_lengths(g, coeffs, init: InitialData, external_lengths) -> list[float]:
+    """Length of every edge in ``edges()`` order: the external lengths, then 1.0.
+
+    Checks first that the coefficients, the initial data and the external
+    lengths match the graph's edge counts, and that every external length is
+    finite and > 0.
+    """
+    coeffs.validate_against(g.m, g.l)
+    if len(init.internal) != g.m or len(init.external) != g.l:
+        raise DimensionMismatchError("initial data does not match the edge counts")
+    if len(external_lengths) != g.l:
+        raise DimensionMismatchError("external_lengths must list one length per external edge")
+    lengths = [float(L) for L in external_lengths]
+    for k, L in enumerate(lengths):
+        if not 0.0 < L < math.inf:
+            raise DomainError(f"external edge {k}: length {L!r} is not finite and > 0")
+    return lengths + [1.0] * g.m

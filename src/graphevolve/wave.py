@@ -30,6 +30,10 @@ for a whole record interval at once.  A condition with zeroth-order terms
 (a value map) reads u = F + G at the vertices, which the step before
 writes, and advances one step per block.
 
+An external edge is the half-line [0, inf) cut at L, exactly for any T: each
+step writes p = 0 at the cut and holds G there, which is the inflow when the
+data vanish beyond the cut.  Energy and mass are those of [0, L].
+
 Grid-order arrays (and u = F + G) are built only when read: per edge by
 ``WaveEdgeFields``, and for all edges at once, one concatenation per field,
 by a recorded snapshot.
@@ -45,7 +49,6 @@ import numpy as np
 from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
 from .coeffs import EdgeCoefficients, constant
 from .errors import (
-    DimensionMismatchError,
     SingularUpdateError,
     SpeedSnapExceededError,
     SupportViolationError,
@@ -53,7 +56,7 @@ from .errors import (
     UnsupportedVariableCoefficientError,
 )
 from .graph import MetricGraph
-from .initial import InitialData
+from .initial import InitialData, edge_lengths
 from .timeloop import run
 from .wellposed import VertexUpdate, require_well_posed, vertex_update_matrix
 
@@ -177,7 +180,7 @@ def _snap(mu: float, length: float, dt: float, snap_tol: float) -> tuple[int, fl
 
 
 def _init_fields(s: np.ndarray, mu: float, edge_init) -> tuple[np.ndarray, ...]:
-    """Riemann invariants p, q, primitives F, G and displacement u0 on one grid."""
+    """Riemann invariants p, q and primitives F, G on one grid."""
     u0 = edge_init.displacement.value(s).astype(complex)
     du0 = edge_init.displacement.derivative(s).astype(complex)
     u1 = edge_init.velocity.value(s).astype(complex)
@@ -186,7 +189,7 @@ def _init_fields(s: np.ndarray, mu: float, edge_init) -> tuple[np.ndarray, ...]:
     q = u1 - mu * du0
     fwd = 0.5 * (u0 - iu1 / mu)
     bwd = 0.5 * (u0 + iu1 / mu)
-    return p, q, fwd, bwd, u0
+    return p, q, fwd, bwd
 
 
 def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
@@ -198,16 +201,12 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     Refuses nonlocal kernels and boundary conditions that fail the criterion
     of their form (``require_well_posed``) at the given speeds; boundary
     spaces are then converted to boundary matrices.  Also refuses variable
-    coefficients, excessive speed snapping, and external initial data that
-    would reach the truncation cut before time T.  Raises
+    coefficients, excessive speed snapping, and external initial data that do
+    not vanish at the cut; ``external_lengths`` need only hold them.  Raises
     SingularUpdateError if the Determinant criterion fails at the snapped
     speeds; a matrices form whose speeds snap exactly is decided once.
     """
-    coeffs.validate_against(g.m, g.l)
-    if len(init.internal) != g.m or len(init.external) != g.l:
-        raise DimensionMismatchError("initial data does not match the edge counts")
-    if len(external_lengths) != g.l:
-        raise DimensionMismatchError("external_lengths must list one length per external edge")
+    lengths = edge_lengths(g, coeffs, init, external_lengths)
     if isinstance(bc, BoundarySpacesBC) and bc.nonlocal_kernels is not None:
         raise UnsupportedNonlocalConditionError(
             "the wave propagator does not support nonlocal kernels"
@@ -219,8 +218,7 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     steps = max(1, math.ceil(T / dt_target))
     dt = T / steps
 
-    # length, initial data and snapped (cells, speed) of each edge, in edges() order
-    lengths = [float(L) for L in external_lengths] + [1.0] * g.m
+    # snapped (cells, speed) of each edge, in edges() order
     snaps = [_snap(_constant_speed(profile), L, dt, snap_tol)
              for L, profile in zip(lengths, coeffs.external + coeffs.internal)]
     mu = np.array([mu_t for _, mu_t in snaps])
@@ -233,18 +231,13 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
         s = np.linspace(0.0, L, n + 1)
         s.flags.writeable = False
         fields = _init_fields(s, mu_t, edge_init)
-        if e < g.l:
-            p, q, _, _, u0 = fields
-            reach = L - mu_t * T
-            far = s > reach
+        if e < g.l:  # u0, p and q at the cut (module docstring)
+            u0, (p, q) = edge_init.displacement.value(s), fields[:2]
             scale = 1.0 + max(np.max(np.abs(u0)), np.max(np.abs(p)))
-            if np.any(np.abs(u0[far]) > 1e-12 * scale) or \
-                    np.any(np.abs(p[far]) > 1e-12 * scale) or \
-                    np.any(np.abs(q[far]) > 1e-12 * scale):
+            if max(abs(u0[-1]), abs(p[-1]), abs(q[-1])) > 1e-12 * scale:
                 raise SupportViolationError(
-                    f"external edge {e}: initial data must vanish on ({reach:.6g}, {L}]"
-                )
-        for whole, part in zip(packed, fields[:4]):
+                    f"external edge {e}: initial data must vanish at the cut s = {L:g}")
+        for whole, part in zip(packed, fields):
             whole[start[e]:start[e] + size[e]] = part
         grids.append(s)
 
@@ -376,7 +369,8 @@ def _spacings(state: WaveState) -> np.ndarray:
 def energy(state: WaveState) -> float:
     """E = 1/2 sum_j int (|u_t|^2 + lambda |u_s|^2) = 1/4 sum int (|p|^2 + |q|^2)."""
     k = state.step_count
-    sums = _trapezoid(state, ((np.abs(state.p) ** 2, k), (np.abs(state.q) ** 2, -k)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged state's energy is inf or nan
+        sums = _trapezoid(state, ((np.abs(state.p) ** 2, k), (np.abs(state.q) ** 2, -k)))
     return float(0.25 * (_spacings(state) @ sums))
 
 

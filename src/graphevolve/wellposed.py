@@ -36,6 +36,7 @@ from .coeffs import EdgeCoefficients
 from .errors import (
     BadT0Error,
     DimensionMismatchError,
+    NonFiniteStateError,
     NotWellPosedError,
     SingularUpdateError,
     UnsupportedNonlocalConditionError,
@@ -111,7 +112,8 @@ class VertexUpdate:
             if self.value_map is not None:
                 outgoing = outgoing + (self.value_map @ value_trace.T).T
         if not np.isfinite(outgoing).all():
-            raise ValueError("array must not contain infs or NaNs")
+            raise NonFiniteStateError(
+                "vertex values contain infs or NaNs: the data are not finite, or the run diverged")
         return outgoing.reshape(np.shape(incoming))
 
     def __deepcopy__(self, memo):

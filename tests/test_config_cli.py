@@ -331,6 +331,48 @@ def test_simulate_reports_memory_error(tmp_path, capsys, config, old, new):
     assert not (tmp_path / "solution.csv").exists()
 
 
+def test_simulate_reports_a_diverged_wave(tmp_path, capsys):
+    """A delta coupling of 1e6 on a loop makes the explicit vertex update of the
+    wave diverge within a few dozen steps: one `error:` line and exit 1."""
+    cfg = tmp_path / "loop.cfg"
+    cfg.write_text("graph: {vertices: 1, internal_edges: [[0, 0]]}\n"
+                   "bc: {kind: delta, alpha: [1.0e+6]}\n"
+                   "sim: {equation: wave, T: 1.0, dt: 0.01}\n"
+                   "initial:\n  internal:\n    - {u0: {kind: sine_mode, mode: 2}}\n")
+    assert run_cli("simulate", cfg, "--output-dir", tmp_path, "--quiet") == 1
+    assert capsys.readouterr().err == ("error: vertex values contain infs or NaNs: "
+                                       "the data are not finite, or the run diverged\n")
+    assert not (tmp_path / "solution.csv").exists()
+
+
+WAVE_WITH_A_CUT = (
+    "graph:\n  vertices: [a, b]\n  internal_edges: [[a, b]]\n"
+    "  external_edges: [{vertex: a, length: 4.0}]\n"
+    "bc:\n  kind: standard\n"
+    "sim:\n  equation: wave\n  T: 3.0\n  dt: 0.01\n  record_stride: 30\n"
+    "initial:\n  internal:\n    - {u0: {kind: sine_mode, mode: 1}}\n"
+    "  external:\n    - {u0: {kind: gaussian, center: 2.0, width: 0.05}}\n")
+
+
+def test_simulate_wave_through_an_external_cut(tmp_path):
+    """A pulse on the external edge leaves through its cut at s = 4 before T.  The
+    Gaussian underflows to 0 from s = 4 on, so the run equals the half-line's: the
+    same config cut at 8 writes the same rows for the internal edge and for
+    s <= 4 of the external one."""
+    rows = {}
+    for length in ("4.0", "8.0"):
+        cfg = tmp_path / f"cut{length}.cfg"
+        cfg.write_text(WAVE_WITH_A_CUT.replace("length: 4.0", f"length: {length}"))
+        out = tmp_path / length
+        assert run_cli("simulate", cfg, "--output-dir", out, "--quiet") == 0
+        rows[length] = [line.split(",") for line in
+                        (out / "solution.csv").read_text().splitlines()[1:]]
+    short, long = rows["4.0"], rows["8.0"]
+    assert [r for r in short if r[1] == "i"] == [r for r in long if r[1] == "i"]
+    assert short == [r for r in long if r[1] == "i" or float(r[3]) <= 4.0]
+    assert max(abs(float(r[4])) for r in long if r[0] == "3" and float(r[3]) > 4.0) > 0.1
+
+
 HEAT_WITH_LEAD = (
     "graph:\n  vertices: [a, b]\n  internal_edges: [[a, b]]\n"
     "  external_edges: [{vertex: a, length: 2.0}]\n"

@@ -45,3 +45,20 @@ def test_gaussian_antiderivative_matches_scipy_erf():
     expected = c * (erf(z) - erf(z0))
     # relative to the profile's scale: erf(z) - erf(z0) cancels near s = 0
     assert np.max(np.abs(prof.antiderivative(s) - expected)) <= 1e-15 * np.max(expected)
+
+
+@pytest.mark.parametrize("length", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("equation", ["heat", "wave"])
+def test_init_refuses_an_external_length_that_is_not_finite_and_positive(equation, length):
+    g = ge.MetricGraph(3, [(0, 1), (0, 2)], [0])
+    coeffs = ge.unit_coefficients(2, 1)
+    zero = ge.EdgeInitial(ge.zero_profile())
+    init = ge.InitialData((zero, zero), (zero,))
+    with pytest.raises(ge.DomainError) as info:
+        if equation == "heat":
+            ge.heat_init(g, coeffs, ge.from_standard(g, coeffs), init, dt=0.01,
+                         external_lengths=(length,))
+        else:
+            ge.wave_init(g, coeffs, ge.from_standard(g, coeffs), init, dt_target=0.01, T=0.1,
+                         external_lengths=(length,))
+    assert str(info.value) == f"external edge 0: length {length!r} is not finite and > 0"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import graphevolve as ge
-from conftest import dirichlet_interval_bc, periodic_loop_bc, random_mesh, star3_bc
+from conftest import (BUILDERS, dirichlet_interval_bc, local_condition, periodic_loop_bc,
+                      random_graph, random_mesh, star3_bc)
 from graphevolve.wave import _BLOCK_ENTRIES, _snapshot, energy, mass
 
 
@@ -80,6 +81,72 @@ def test_init_rejects_support_violation(star):
     with pytest.raises(ge.SupportViolationError):
         ge.wave_init(star, coeffs, bc, init, dt_target=1 / 50, T=2.0,
                      external_lengths=(5.0,))
+
+
+@pytest.mark.parametrize("data", [
+    ge.EdgeInitial(ge.gaussian(2.0, 0.3, length=2.0)),
+    ge.EdgeInitial(ge.sine_mode(1, length=2.0)),
+    ge.EdgeInitial(ge.zero_profile(length=2.0), ge.gaussian(2.0, 0.3, length=2.0)),
+], ids=["u0", "u0-slope", "u1"])
+def test_init_rejects_data_that_do_not_vanish_at_the_cut(star, data):
+    """u0, u0' or u1 nonzero at the cut (sin(pi s / 2) is 1.2e-16 there, its
+    slope -pi/2) is refused, whatever T; the message names the edge and the cut."""
+    coeffs = ge.unit_coefficients(2, 1)
+    zero = ge.EdgeInitial(ge.zero_profile())
+    for T in (0.02, 10.0):
+        with pytest.raises(ge.SupportViolationError) as info:
+            ge.wave_init(star, coeffs, kirchhoff_star_matrices(star, coeffs),
+                         ge.InitialData((zero, zero), (data,)), dt_target=1 / 50, T=T,
+                         external_lengths=(2.0,))
+        assert str(info.value) == "external edge 0: initial data must vanish at the cut s = 2"
+
+
+def bump(rng, length):
+    """Samples of a sin^2 bump of random height on [0, 3/4 length] and zero after
+    it: the profile and its derivative are exactly 0 from there on, beyond the
+    length too, and its antiderivative is constant."""
+    x = np.linspace(0.0, 1.0, 33)
+    values = np.where(x < 0.75, np.sin(np.pi * x / 0.75) ** 2, 0.0) * rng.normal()
+    return ge.custom_samples(values, length)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_a_cut_at_l_and_at_2l_give_the_same_bytes(builder):
+    """The cut is exact: with data on [0, L] and zero beyond, external edges cut at
+    L and at 2L give byte-identical u and u_t on the internal edges and on [0, L]
+    at every record, long after waves have left through the cut at L."""
+    rng = np.random.default_rng({"standard": 11, "delta": 12, "nonlocal_matrices": 13}[builder])
+    L, dt, cases = 1.0, 1 / 40, 0
+    while cases < 2:
+        g = random_graph(rng, max_n=5, max_m=5, max_l=3)
+        if g.l == 0:
+            continue
+        cases += 1
+        squares = rng.choice([0.25, 1.0, 4.0], size=g.m + g.l).tolist()
+        coeffs = ge.EdgeCoefficients(tuple(ge.constant(x) for x in squares[:g.m]),
+                                     tuple(ge.constant(x) for x in squares[g.m:]))
+        bc = local_condition(rng, g, coeffs, builder)
+        init = ge.InitialData(
+            tuple(ge.EdgeInitial(ge.gaussian(rng.uniform(0.3, 0.7), 0.1, amplitude=rng.normal()))
+                  for _ in range(g.m)),
+            tuple(ge.EdgeInitial(bump(rng, L), bump(rng, L)) for _ in range(g.l)))
+        T = 4 * L / math.sqrt(min(squares))
+
+        def run(cut):
+            st = ge.wave_init(g, coeffs, bc, init, dt_target=dt, T=T,
+                              external_lengths=(cut,) * g.l)
+            return ge.wave_run(st, T, record_stride=8)
+
+        (short, _, near), (long, _, far) = run(L), run(2 * L)
+        assert [e.s.size for e in long.external] == [2 * e.s.size - 1 for e in short.external]
+        assert len(near) == len(far) == round(T / dt) // 8 + 1
+        for (t, u, ut), (t2, u2, ut2) in zip(near, far):
+            assert t == t2
+            for a, b in zip(u + ut, u2 + ut2):
+                assert a.tobytes() == b[:a.size].tobytes()
+        # the waves crossed the cut at L: by T, some of u lies beyond it
+        assert max(np.max(np.abs(e.u[short.external[k].s.size:]))
+                   for k, e in enumerate(long.external)) > 1e-3
 
 
 @pytest.mark.parametrize("velocity", [ge.zero_profile(), ge.sine_mode(2, 0.8)],
