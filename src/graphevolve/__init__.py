@@ -10,7 +10,6 @@ from .bc import (
     BoundarySpacesBC,
     DeltaCoupling,
     TraceVector,
-    VertexPartition,
     flux_residual,
     from_delta,
     from_generalized_node,

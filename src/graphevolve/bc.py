@@ -21,10 +21,10 @@ Blocks of one shape are stacked in a ``BlockGroup``, so rank tests,
 annihilators and both local checks run one numpy call per shape.
 ``from_standard``, ``from_delta`` and ``from_nonlocal_matrices`` make one
 block per vertex (``from_blocks``) and ``to_boundary_matrices`` keeps them;
-dense arrays given to the constructors are one block over all slots.  Only
-the zeroth-order terms (local_U, the U rows) may couple blocks; they are
-kept sparse.  The dense fields of a condition built from blocks are formed
-when first read; the package reads rows from the blocks (``trace_rows``).
+dense arrays given to the constructors are split into the connected
+components of their nonzero pattern.  Only the zeroth-order terms (local_U,
+the U rows) may couple blocks; they are kept sparse.  The dense fields are
+formed when first read; the package reads rows from the blocks (``trace_rows``).
 """
 
 from __future__ import annotations
@@ -87,23 +87,8 @@ def make_trace(values_e0, values_i0, values_i1,
 
 
 @dataclass(frozen=True)
-class VertexPartition:
-    """The vertex blocks of a condition as index sets, block after block.
-
-    Block b owns the trace slots ``slots[b]`` and the indices ``value[b]`` and
-    ``flux[b]``: in the spaces form the columns of Y1 and of Y0, in the
-    matrices form the value rows and the flux rows.  A condition reads it
-    from its block groups (``partition``); one given as dense arrays has none.
-    """
-
-    slots: tuple[np.ndarray, ...]
-    value: tuple[np.ndarray, ...]
-    flux: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class BlockGroup:
-    """Vertex blocks of one shape, stacked along the first axis.
+    """Blocks of one shape, stacked along the first axis.
 
     Block i owns the trace slots ``slots[i]`` (n), the value indices
     ``value[i]`` (a) and the flux indices ``flux[i]`` (b), which are Y1/Y0
@@ -144,20 +129,59 @@ def _set(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _one_block(first: np.ndarray, second: np.ndarray, rows: bool) -> tuple[BlockGroup]:
-    """Dense Y1/Y0 (or, with `rows`, V/W) as one block over all slots."""
-    dim, n_value, n_flux = ((first.shape[1], first.shape[0], second.shape[0]) if rows
-                            else (first.shape[0], first.shape[1], second.shape[1]))
-    return (BlockGroup(np.arange(dim)[None], np.arange(n_value)[None], np.arange(n_flux)[None],
-                       first[None], second[None]),)
+def _stacked(*owners: np.ndarray):
+    """Index stacks of blocks 0..B-1 from the block of each trace slot, value and
+    flux index: per block shape one (slots, value, flux), rows ascending, blocks
+    in order, shapes in the order of their first block."""
+    sizes = np.stack([np.bincount(x, minlength=owners[0].max() + 1) for x in owners], axis=1)
+    shapes, first, inverse = np.unique(sizes, axis=0, return_index=True, return_inverse=True)
+    orders = [np.argsort(x, kind="stable") for x in owners]  # block after block
+    for k in np.argsort(first).tolist():
+        chosen = inverse.ravel() == k
+        yield tuple(o[chosen[x[o]]].reshape(chosen.sum(), n)
+                    for x, o, n in zip(owners, orders, shapes[k].tolist()))
+
+
+def component_labels(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The least node of each node's component in the graph on 0..n-1 with edges
+    (a, b): roots hook onto their least neighbouring root, then pointers double."""
+    root = np.arange(n)
+    while not np.array_equal(root[a], root[b]):
+        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
+        for _ in range(n.bit_length()):
+            root = root[root]
+    return root
+
+
+def _split(first: np.ndarray, second: np.ndarray, rows: bool) -> list[BlockGroup]:
+    """Dense Y1/Y0 (with `rows`, V/W) as the components of their nonzero pattern,
+    by least slot: a Y1/Y0 column (V/W row) joins the slots it touches.  The
+    non-square components and the indices touching no slot merge into one
+    block; if the totals differ, everything is one block."""
+    first, second = (first, second) if rows else (first.T, second.T)  # index x slot
+    pattern = np.concatenate([first, second])
+    n_index, dim = pattern.shape
+    index, slot = np.nonzero(pattern)  # by index, then ascending slot
+    root = component_labels(slot, slot[np.searchsorted(index, index)], dim)
+    lead = np.full(n_index, dim)  # the indices that touch no slot: label dim
+    lead[index] = root[slot]
+    odd = np.bincount(root, minlength=dim + 1) != np.bincount(lead, minlength=dim + 1)
+    odd |= n_index != dim  # merged under the least odd label
+    labels = np.r_[root, lead]
+    _, block = np.unique(np.where(odd[labels], np.argmax(odd), labels), return_inverse=True)
+    groups = []
+    for slots, value, flux in _stacked(*np.split(block, [dim, dim + first.shape[0]])):
+        blocks = [m[i[:, :, None], slots[:, None, :]] for m, i in ((first, value), (second, flux))]
+        groups.append(BlockGroup(slots, value, flux,
+                                 *(b if rows else b.transpose(0, 2, 1) for b in blocks)))
+    return groups
 
 
 def _numbered(shapes) -> list[np.ndarray]:
     """Consecutive indices, group after group, for stacks of (count, width) items."""
-    sizes = [count * width for count, width in shapes]
-    starts = np.cumsum([0] + sizes)
-    return [np.arange(start, start + size).reshape(shape)
-            for start, size, shape in zip(starts.tolist(), sizes, shapes)]
+    ends = np.cumsum([count * width for count, width in shapes]).tolist()
+    return [np.arange(end - count * width, end).reshape(count, width)
+            for end, (count, width) in zip(ends, shapes)]
 
 
 def block_matrix(parts, shape: tuple[int, int]) -> scipy.sparse.csr_array:
@@ -189,29 +213,26 @@ def _assembled(groups, value: bool, rows: bool, dim: int) -> scipy.sparse.csr_ar
 
 
 class _Blocks:
-    """The storage both condition forms share.
-
-    ``groups`` holds the blocks, ``sparse_U`` the zeroth-order terms (CSR, or
-    None), and ``partitioned`` says whether the blocks are vertex blocks;
-    dense arrays given to the constructor are one block and are not.  The
-    dense fields are formed from them.
-    """
+    """The storage both condition forms share: ``groups`` holds the blocks (one
+    per vertex from the builders, the connected components of dense input)
+    and ``sparse_U`` the zeroth-order terms (CSR, or None).  The dense fields
+    are formed from them."""
 
     _rows = False  # whether the blocks are row blocks (V, W)
 
     @classmethod
-    def from_blocks(cls, groups, sparse_u, partitioned: bool = True, **fields):
-        """A condition from its blocks, with no dense field formed; `fields` sets the
-        rest.  It is never marked ``kirchhoff``, so heat takes its matrices path."""
+    def from_blocks(cls, groups, sparse_u, **fields):
+        """A condition from its blocks, which need not be vertex blocks, with no dense
+        field formed; `fields` sets the rest.  It is never marked ``kirchhoff``."""
         bc = object.__new__(cls)
-        _set(bc, groups=tuple(groups), sparse_U=sparse_u, partitioned=partitioned, **fields)
+        _set(bc, groups=tuple(groups), sparse_U=sparse_u, **fields)
         bc._validate()
         return bc
 
     def _validate(self) -> None:
         """The checks shared by dense input and blocks: each trace slot, value
-        index and flux index belongs to exactly one block, and vertex blocks
-        are square.  Then the checks of the form (``_check``)."""
+        index and flux index belongs to exactly one block, and only a sole
+        block may be non-square.  Then the checks of the form (``_check``)."""
         for attr, what in (("slots", "trace slot"), ("value", "value index"),
                            ("flux", "flux index")):
             flat = np.concatenate([getattr(g, attr).ravel() for g in self.groups])
@@ -219,9 +240,9 @@ class _Blocks:
                 raise DimensionMismatchError(f"the blocks do not own each {what} once")
         for g in self.groups:
             n, a, b = g.slots.shape[1], g.value.shape[1], g.flux.shape[1]
-            if self.partitioned and n != a + b:
-                raise DimensionMismatchError(f"a vertex block has {n} slots but "
-                                             f"{a + b} value/flux indices")
+            if n != a + b and (len(self.groups) > 1 or g.slots.shape[0] > 1):
+                raise DimensionMismatchError(f"one of several blocks has {n} slots "
+                                             f"but {a + b} value/flux indices")
         self._check()
 
     def _derive(self, name: str):
@@ -233,14 +254,6 @@ class _Blocks:
     @property
     def trace_dim(self) -> int:
         return sum(g.slots.size for g in self.groups)
-
-    @property
-    def partition(self) -> VertexPartition | None:
-        """The vertex blocks as index sets; None for dense arrays taken as one block."""
-        if not self.partitioned:
-            return None
-        return VertexPartition(*(tuple(x for g in self.groups for x in getattr(g, attr))
-                                 for attr in ("slots", "value", "flux")))
 
 
 def _full_column_rank(stack: np.ndarray) -> bool:
@@ -281,8 +294,8 @@ class BoundaryMatricesBC(_Blocks):
     Flux rows:   w_rows @ (f_e'(0), f_i'(0), -f_i'(1))
                  + u_rows @ (f_e(0), f_i(0), f_i(1)) = 0.
 
-    ``dataclasses.replace`` reads the dense fields and returns the dense
-    one-block form: ``partition`` is None and there are no vertex blocks.
+    ``dataclasses.replace`` splits the dense rows again (``_Blocks``): a
+    converted builder condition keeps its vertex blocks.
     """
 
     v_rows: np.ndarray = _Derived()
@@ -299,7 +312,7 @@ class BoundaryMatricesBC(_Blocks):
             raise DimensionMismatchError(f"w_rows {w.shape} and u_rows "
                                          f"{u.shape} must both be k1 x {dim}")
         _set(self, v_rows=v, w_rows=w, u_rows=u, sparse_U=scipy.sparse.csr_array(u),
-             groups=_one_block(v, w, rows=True), partitioned=False)
+             groups=_split(v, w, rows=True))
         self._validate()
 
     def _check(self) -> None:
@@ -357,14 +370,14 @@ class BoundarySpacesBC(_Blocks):
     mu_endpoints is the trace-ordered vector of endpoint wave speeds
     (mu_e(0), mu_i(0), mu_i(1)), one per trace slot, used to translate
     between flux and raw-derivative conventions.
-    Y1 and Y0 are stored as blocks of full column rank: one over all slots
-    for dense input, one per vertex from the continuity builders, a constant
-    Y1 column and Y0 = C * Y1-perp.  Only those builders set ``kirchhoff``,
-    the mark that sends heat down its finite-volume path; any other
-    condition, even one with the same blocks, has ``kirchhoff`` False.
-    ``dataclasses.replace`` reads the dense fields and returns the dense
-    one-block form: ``partition`` is None, there are no vertex blocks and
-    there is no mark.
+    Y1 and Y0 are stored as blocks of full column rank: the connected
+    components of the nonzero pattern for dense input, one per vertex from
+    the continuity builders, a constant Y1 column and Y0 = C * Y1-perp.  Only
+    those builders set ``kirchhoff``, the mark that sends heat down its
+    finite-volume path; any other condition, even one with the same blocks,
+    has ``kirchhoff`` False.  ``dataclasses.replace`` reads the dense fields
+    and splits them again: a builder's twin has the builder's vertex blocks,
+    ordered by least slot, and no mark.
     """
 
     y1_basis: np.ndarray = _Derived()
@@ -382,7 +395,7 @@ class BoundarySpacesBC(_Blocks):
         u = None if self.local_U is None else np.asarray(self.local_U, dtype=complex)
         _set(self, y1_basis=y1, y0_basis=y0, local_U=u,
              sparse_U=None if u is None else scipy.sparse.csr_array(u),
-             groups=_one_block(y1, y0, rows=False), partitioned=False)
+             groups=_split(y1, y0, rows=False))
         if self.mu_endpoints is not None:
             _set(self, mu_endpoints=np.asarray(self.mu_endpoints, dtype=float))
         self._validate()
@@ -441,21 +454,14 @@ def _kirchhoff(g: MetricGraph, coeffs: EdgeCoefficients, coupling) -> BoundarySp
     coeffs.validate_against(g.m, g.l)
     speeds = coeffs.mu_endpoint_diagonals()
     ends = endpoint_vertices(g)
-    order = np.argsort(ends, kind="stable")  # slots vertex after vertex, each ascending
-    degree = np.bincount(ends, minlength=g.n)
-    degree = degree[degree > 0]  # the blocks, in vertex order
-    start = np.cumsum(degree) - degree
-    flux_start = np.cumsum(degree - 1) - (degree - 1)
-    degrees, first = np.unique(degree, return_index=True)
+    _, block = np.unique(ends, return_inverse=True)  # the blocks, in vertex order
+    degree = np.bincount(block)
     groups = []
-    for d in degrees[np.argsort(first)].tolist():
-        block = np.flatnonzero(degree == d)
-        slots = order[start[block][:, None] + np.arange(d)]
-        perp = _hermitian_complement(np.ones((1, d, 1), dtype=complex))
-        groups.append(BlockGroup(slots, block[:, None],
-                                 flux_start[block][:, None] + np.arange(d - 1),
-                                 np.ones((block.size, d, 1), dtype=complex),
-                                 perp / speeds[slots][:, :, None]))
+    for slots, value, flux in _stacked(block, np.arange(degree.size),
+                                       np.repeat(np.arange(degree.size), degree - 1)):
+        ones = np.ones((*slots.shape, 1), dtype=complex)
+        groups.append(BlockGroup(slots, value, flux, ones,
+                                 _hermitian_complement(ones[:1]) / speeds[slots][:, :, None]))
     local_u = None if coupling is None else scipy.sparse.csr_array(
         (-coupling.data / speeds[coupling.row], coupling.coords), shape=coupling.shape)
     bc = BoundarySpacesBC.from_blocks(groups, local_u, mu_endpoints=speeds)
@@ -532,9 +538,7 @@ def from_generalized_node(g: MetricGraph, y_basis: np.ndarray, w: np.ndarray,
         raise DimensionMismatchError(
             f"Y basis has {y_basis.shape[0]} rows, trace space has {2 * g.m}"
         )
-    d = y_basis.shape[1]
-    if not _full_column_rank(y_basis[None]):
-        raise RankDeficientBasisError("Y basis does not have full column rank")
+    d = y_basis.shape[1]  # the constructor checks its rank, block by block
     w = np.asarray(w, dtype=complex).reshape(d, d)
     speeds = coeffs.mu_endpoint_diagonals()
     perp = _hermitian_complement(y_basis[None])[0]
@@ -588,7 +592,7 @@ def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatric
 
     k0 rows annihilate Y1 (value conditions); k1 rows annihilate Y0 applied to
     the flux trace plus U-terms, with the endpoint speeds restoring the
-    raw-derivative convention in W.  The rows keep the vertex blocks of `bc`.
+    raw-derivative convention in W.  The rows keep the blocks of `bc`.
     """
     dim = bc.trace_dim
     if l + 2 * m != dim:
@@ -597,7 +601,7 @@ def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatric
         raise NotComplementaryError(
             f"d0 + d1 = {bc.d0 + bc.d1} != {dim}; conversion undefined"
         )
-    # singular values of [Y0 | Y1] are those of its vertex blocks together
+    # singular values of [Y0 | Y1] are those of its blocks together
     smin, smax = np.inf, 0.0
     for g in bc.groups:
         s = np.linalg.svd(np.concatenate([g.flux_block, g.value_block], axis=2),
@@ -610,7 +614,7 @@ def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatric
     if bc.mu_endpoints is not None:
         groups = [replace(g, flux_block=g.flux_block * bc.mu_endpoints[g.slots][:, None, :])
                   for g in groups]
-    return BoundaryMatricesBC.from_blocks(groups, u_rows, bc.partitioned, m=m)
+    return BoundaryMatricesBC.from_blocks(groups, u_rows, m=m)
 
 
 def trace_rows(bc):

@@ -5,7 +5,7 @@ Boundary conditions enter as rows of the implicit system:
 
 * matrices form -- value rows on trace nodes, derivative rows via
   second-order one-sided stencils, U-terms on trace nodes, all read from the
-  nonzeros of the vertex blocks and of the sparse U rows;
+  nonzeros of the blocks and of the sparse U rows;
 * spaces form marked ``kirchhoff`` by the standard, delta and
   nonlocal-matrices builders, whose every vertex block (``bc.groups``) is
   continuity plus Kirchhoff flux balance -- continuity rows plus one

@@ -14,13 +14,13 @@ that fits the form of a boundary condition:
 "Nonzero determinant" is always decided through singular values after row
 equilibration; raw determinants are reported as evidence only.
 
-Both local criteria are computed on the vertex blocks of the condition
-(``bc.groups``), one stacked numpy call per block shape.  The criterion
-matrix and the stacked basis are block-diagonal up to row and column
-permutations, and row equilibration is row-local, so their singular values
-are those of the blocks together and the determinant is the signed product
-of the block determinants.  A condition given as dense arrays is one
-block, the whole matrix.
+Both local criteria are computed on the blocks of the condition
+(``bc.groups``: its vertices, or the connected components of dense input),
+one stacked numpy call per block shape.  The criterion matrix and the
+stacked basis are block-diagonal up to row and column permutations, and row
+equilibration is row-local, so their singular values are those of the
+blocks together and the determinant is the signed product of the block
+determinants.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, block_matrix
+from .bc import BoundaryMatricesBC, BoundarySpacesBC, component_labels, block_matrix
 from .coeffs import EdgeCoefficients
 from .errors import (
     BadT0Error,
@@ -60,7 +60,7 @@ class VertexUpdate:
     matrix with its rows halved, m_out the same with its flux rows negated,
     and u_rhs the zeroth-order rows.
 
-    S is one d x d block per vertex.  ``stacks`` holds them per size d as
+    S is one d x d block per condition block.  ``stacks`` holds them per size d as
     (slots, blocks): the trace slots (count, d) and the blocks (count, d, d),
     in float64 when they are real.  ``order`` lists the slots, stack after
     stack, and ``inverse`` undoes it.  ``solve`` takes the incoming values into
@@ -154,19 +154,13 @@ def _block_sigmas(stacks) -> tuple[float, float]:
 
 
 def _permutation_sign(p: np.ndarray) -> int:
-    """+1 for an even permutation of 0..n-1, -1 for an odd one: (-1)^(n - cycles).
-
-    Each element's label becomes the least element of its cycle after
-    log2(n) rounds of pointer doubling.
-    """
-    label, jump = np.arange(p.size), p
-    for _ in range(p.size.bit_length()):
-        label, jump = np.minimum(label, label[jump]), jump[jump]
-    return -1 if (p.size - np.unique(label).size) % 2 else 1
+    """+1 for an even permutation of 0..n-1, -1 for an odd one: (-1)^(n - cycles)."""
+    cycles = np.unique(component_labels(np.arange(p.size), p, p.size)).size
+    return -1 if (p.size - cycles) % 2 else 1
 
 
 def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None):
-    """Vertex blocks of the criterion matrix [V; W C], columns (f_e(0), f_i(1), f_i(0)).
+    """The blocks of the criterion matrix [V; W C], columns (f_e(0), f_i(1), f_i(0)).
 
     Returns one (rows, cols, blocks) per block group of `bc`: the rows and
     the ascending columns of each block in the full criterion matrix, and
@@ -202,6 +196,7 @@ def _determinant_report(bc: BoundaryMatricesBC, criterion) -> WellPosednessRepor
     if _permutation_sign(np.concatenate([r.ravel() for r in rows])) != \
             _permutation_sign(np.concatenate([c.ravel() for c in cols])):
         det = -det
+    det += 0j  # a zero part reads +0.0, not -0.0
     smin, smax = _block_sigmas(blocks)
     tol = _sigma_tol(bc.trace_dim)
     well = smin > tol * smax

@@ -101,6 +101,12 @@ def with_block(bc, b, **blocks):
     return type(bc).from_blocks(groups, bc.sparse_U, **fields)
 
 
+def block_indices(bc, attr="slots"):
+    """The trace slots (or ``value`` or ``flux`` indices) of the blocks of `bc`,
+    block after block, group after group."""
+    return [x for g in bc.groups for x in getattr(g, attr)]
+
+
 def random_coeffs(rng, g, lo=0.25, hi=4.0):
     internal = tuple(ge.constant(float(rng.uniform(lo, hi))) for _ in range(g.m))
     external = tuple(ge.constant(float(rng.uniform(lo, hi))) for _ in range(g.l))
@@ -111,7 +117,7 @@ BUILDERS = ("standard", "delta", "nonlocal_matrices")
 
 
 def local_condition(rng, g, coeffs, builder):
-    """A seeded local vertex condition from one of the partitioned BUILDERS."""
+    """A seeded local vertex condition from one of the vertex-block BUILDERS."""
     if builder == "standard":
         return ge.from_standard(g, coeffs)
     if builder == "delta":

@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse
 
 import graphevolve as ge
-from conftest import (BUILDERS, dirichlet_interval_bc, local_condition, random_coeffs,
-                      random_graph, with_block)
+from conftest import (BUILDERS, block_indices, dirichlet_interval_bc, local_condition,
+                      random_coeffs, random_graph, with_block)
 from graphevolve import heat
 from graphevolve.bc import BlockGroup
 from graphevolve.config import parse_config
@@ -234,12 +234,12 @@ def test_generic_y0_takes_matrices_path():
 
 
 def test_partitioned_dirichlet_spaces_take_matrices_path(interval):
-    """A vertex partition means "local", not "Kirchhoff": Dirichlet as spaces."""
+    """Vertex blocks mean "local", not "Kirchhoff": Dirichlet as spaces."""
     bc = ge.BoundarySpacesBC.from_blocks(  # vertex b owns slot b and Y0 column b
         [BlockGroup(np.array([[0], [1]]), np.zeros((2, 0), dtype=int), np.array([[0], [1]]),
                     np.zeros((2, 1, 0), dtype=complex), np.ones((2, 1, 1), dtype=complex))],
         None, mu_endpoints=np.ones(2))
-    assert bc.partition is not None
+    assert block_indices(bc) == [[0], [1]]
     init = ge.InitialData((ge.EdgeInitial(ge.gaussian(0.3, 0.1)),), ())
     st = ge.heat_init(interval, ge.unit_coefficients(1), bc, init, dt=1e-3, n_per_edge=100)
     st, _, _ = ge.heat_run(st, 0.1, record_stride=100)
@@ -256,9 +256,9 @@ def test_non_kirchhoff_blocks_take_matrices_path(compact_star):
     path; it agrees with the builder's continuity run to second order in h."""
     coeffs = ge.EdgeCoefficients(tuple(ge.constant(c) for c in (1.0, 2.0, 0.5)), ())
     standard = ge.from_standard(compact_star, coeffs)
-    centre = standard.partition.slots[0]
+    centre = block_indices(standard)[0]
     assert list(centre) == [1, 2, 3]  # vertex 0: head of edge 0, tails of edges 1 and 2
-    perp = standard.y0_basis[np.ix_(centre, standard.partition.flux[0])]
+    perp = standard.y0_basis[np.ix_(centre, block_indices(standard, "flux")[0])]
     rng = np.random.default_rng(7)
     init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(3)), ())
 
@@ -439,7 +439,7 @@ def reference_matrix_rows(a, row, bc, edges, trace_nodes, l, m):
 def test_matrix_rows_match_per_entry_reference(monkeypatch, builder, n_per_edge):
     """The vectorized matrices-form rows give the solutions of the per-entry loop.
 
-    Local conditions stripped of their partition take the matrices path; at
+    Local conditions stripped of their builder mark take the matrices path; at
     n = 4 the two end stencils of an internal edge share its middle node.
     """
     rng = np.random.default_rng({"standard": 1, "delta": 2, "nonlocal_matrices": 3}[builder])
@@ -450,7 +450,7 @@ def test_matrix_rows_match_per_entry_reference(monkeypatch, builder, n_per_edge)
             continue
         cases += 1
         coeffs = random_coeffs(rng, g)
-        bc = dataclasses.replace(local_condition(rng, g, coeffs, builder))  # one dense block
+        bc = dataclasses.replace(local_condition(rng, g, coeffs, builder))  # no mark
         init = ge.InitialData(
             tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(g.m)),
             tuple(ge.EdgeInitial(ge.gaussian(0.3, 0.1, length=1.5)) for _ in range(g.l)))
@@ -478,9 +478,10 @@ def test_matrix_rows_match_per_entry_reference(monkeypatch, builder, n_per_edge)
 @pytest.mark.parametrize("n_per_edge", [4, 9])
 def test_matrices_path_reads_blocks_not_dense_fields(n_per_edge):
     """Heat's matrices path takes a condition's rows from its vertex blocks:
-    no dense field is formed, and the result equals that of the dense one-block
-    twin.  The conditions are delta-coupled matrices forms on random graphs and
-    spaces forms whose Y1 block at one vertex is not constant (converted)."""
+    no dense field is formed, and the result equals that of its
+    ``dataclasses.replace`` twin, split from the dense fields.  The conditions
+    are delta-coupled matrices forms on random graphs and spaces forms whose
+    Y1 block at one vertex is not constant (converted)."""
     rng = np.random.default_rng(16)
     dense_fields = ("v_rows", "w_rows", "u_rows", "y1_basis", "y0_basis", "local_U")
     cases = 0
@@ -488,11 +489,11 @@ def test_matrices_path_reads_blocks_not_dense_fields(n_per_edge):
         g = random_graph(rng, max_n=6, max_m=6, max_l=3)
         coeffs = random_coeffs(rng, g)
         delta = local_condition(rng, g, coeffs, "delta")
-        big = [b for b, slots in enumerate(delta.partition.slots) if slots.size > 1]
+        big = [b for b, slots in enumerate(block_indices(delta)) if slots.size > 1]
         if cases % 2 == 0:
             bc = ge.to_boundary_matrices(delta, g.l, g.m)
         elif big:
-            size = delta.partition.slots[big[0]].size
+            size = block_indices(delta)[big[0]].size
             bc = with_block(delta, big[0], value_block=rng.uniform(0.5, 2.0, (size, 1)))
         else:
             continue
@@ -518,7 +519,7 @@ def test_matrices_path_reads_blocks_not_dense_fields(n_per_edge):
 
 
 def reference_vertex_rows(a, b, row, g, bc, edges, offsets, trace_nodes, dt, theta):
-    """The per-endpoint continuity assembly that the partition's blocks
+    """The per-endpoint continuity assembly that the vertex blocks
     replaced, kept as an oracle: vertex membership from the edge lists."""
     # endpoint -> (vertex, trace slot, global trace node, neighbor node, h, lam_half)
     endpoint_info = []

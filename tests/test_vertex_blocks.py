@@ -12,15 +12,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 
 import graphevolve as ge
-from conftest import (BUILDERS, local_condition, random_coeffs, random_graph, random_mesh,
-                      with_block)
-from graphevolve.bc import BlockGroup, block_matrix
+from conftest import (BUILDERS, block_indices, local_condition, random_coeffs, random_graph,
+                      random_mesh, star3_bc, with_block)
+from graphevolve.bc import BlockGroup, block_matrix, component_labels
 
 
 def reference_spaces(bc):
-    """`bc` with Y0 = C * Y1-perp from one global null_space and no partition."""
+    """`bc` with Y0 = C * Y1-perp from one global null_space, given as dense arrays."""
     y0 = scipy.linalg.null_space(bc.y1_basis.conj().T) / bc.mu_endpoints[:, None]
     return ge.BoundarySpacesBC(bc.y1_basis, y0, local_U=bc.local_U,
                                mu_endpoints=bc.mu_endpoints)
@@ -114,19 +115,18 @@ def test_blocks_match_dense_reference(builder):
 
         # one vertex made degenerate: its Y0 block meets its Y1 block, and one
         # of its speed-normalized flux rows repeats one of its value rows
-        # (dataclasses.replace makes the same condition one dense block)
-        part = blocks.partition
-        degree = np.array([s.size for s in part.slots])
+        # (dataclasses.replace splits the same condition from its dense fields)
+        degree = np.array([s.size for s in block_indices(blocks)])
         b = int(np.argmax(degree))
         if degree[b] >= 2:
-            slots = part.slots[b]
-            y0 = blocks.y0_basis[np.ix_(slots, part.flux[b])]
-            y0[:, 0] = blocks.y1_basis[slots, part.value[b][0]]
+            slots = block_indices(blocks)[b]
+            y0 = blocks.y0_basis[np.ix_(slots, block_indices(blocks, "flux")[b])]
+            y0[:, 0] = blocks.y1_basis[slots, block_indices(blocks, "value")[b][0]]
             bad = with_block(blocks, b, flux_block=y0)
             assert not equilibrated_verdict(np.hstack([bad.y0_basis, bad.y1_basis]))
             for bc in (bad, dataclasses.replace(bad)):
                 assert ge.check_boundary_spaces(bc).verdict == "NotWellPosed"
-            value, flux = matrices.partition.value[b], matrices.partition.flux[b]
+            value, flux = block_indices(matrices, "value")[b], block_indices(matrices, "flux")[b]
             w = matrices.w_rows[np.ix_(flux, slots)]
             w[0] = matrices.v_rows[value[0], slots] * speeds[slots]
             bad = with_block(matrices, b, flux_block=w)
@@ -171,23 +171,27 @@ def test_wave_run_matches_dense_reference(builder):
 def test_builders_partition_by_vertex(star):
     bc = ge.from_standard(star, ge.unit_coefficients(2, 1))
     # trace slots (f_e(0), f_1(0), f_2(0), f_1(1), f_2(1)); the center owns the first three
-    assert [s.tolist() for s in bc.partition.slots] == [[0, 1, 2], [3], [4]]
-    assert [v.tolist() for v in bc.partition.value] == [[0], [1], [2]]
-    assert [f.tolist() for f in bc.partition.flux] == [[0, 1], [], []]
+    assert [s.tolist() for s in block_indices(bc)] == [[0, 1, 2], [3], [4]]
+    assert [v.tolist() for v in block_indices(bc, "value")] == [[0], [1], [2]]
+    assert [f.tolist() for f in block_indices(bc, "flux")] == [[0, 1], [], []]
     matrices = ge.to_boundary_matrices(bc, star.l, star.m)
-    assert [v.tolist() for v in matrices.partition.value] == [[0, 1], [], []]
-    assert [f.tolist() for f in matrices.partition.flux] == [[0], [1], [2]]
-    assert ge.to_boundary_matrices(reference_spaces(bc), star.l, star.m).partition is None
+    assert [v.tolist() for v in block_indices(matrices, "value")] == [[0, 1], [], []]
+    assert [f.tolist() for f in block_indices(matrices, "flux")] == [[0], [1], [2]]
+    # a global Y0 basis is zero on the leaves' slots: dense input splits by vertex too
+    dense = ge.to_boundary_matrices(reference_spaces(bc), star.l, star.m)
+    assert [s.tolist() for s in block_indices(dense)] == [[0, 1, 2], [3], [4]]
 
 
 def test_partition_must_match_the_bases(star):
     """Blocks own each trace slot, value and flux index once and vertex blocks
-    are square, or ``from_blocks`` refuses them; dense input is one block."""
+    are square when there are several, or ``from_blocks`` refuses them; dense
+    input is split into the components of its nonzero pattern."""
     bc = ge.from_standard(star, ge.unit_coefficients(2, 1))
     centre, leaves = bc.groups  # degree 3, then the two degree-1 leaves
     leaked = bc.y0_basis.copy()
     leaked[3, 0] = 1.0  # a center column reaching into a leaf slot
-    assert dataclasses.replace(bc, y0_basis=leaked).partition is None
+    assert ([s.tolist() for s in block_indices(dataclasses.replace(bc, y0_basis=leaked))]
+            == [[0, 1, 2, 3], [4]])
     with pytest.raises(ge.DimensionMismatchError, match="trace slot once"):
         ge.BoundarySpacesBC.from_blocks(  # a leaf claims the center's slot 0
             [centre, dataclasses.replace(leaves, slots=np.array([[3], [0]]))], None)
@@ -210,12 +214,108 @@ def test_partition_must_match_the_bases(star):
         ge.BoundarySpacesBC.from_blocks(bc.groups, None, mu_endpoints=np.ones(4))
 
 
+def block_shapes(bc):
+    return [(g.value_block.shape, g.flux_block.shape) for g in bc.groups]
+
+
+def sorted_slots(bc):
+    return sorted(s.tolist() for s in block_indices(bc))
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_replace_twins_match_their_condition(builder):
+    """A ``dataclasses.replace`` twin of a builder condition, in the spaces or
+    the matrices form, is split from its dense fields into the builder's
+    vertex blocks: it gets the same block shapes, verdict, σ's and
+    determinant, and runs the wave to the same bytes."""
+    rng = np.random.default_rng({"standard": 7, "delta": 8, "nonlocal_matrices": 9}[builder])
+    for _ in range(3):
+        g, coeffs = random_mesh(rng, 8, 12, 2)
+        spaces = local_condition(rng, g, coeffs, builder)
+        init = ge.InitialData(
+            tuple(ge.EdgeInitial(ge.gaussian(rng.uniform(0.3, 0.7), 0.08), ge.sine_mode(1, 0.3))
+                  for _ in range(g.m)),
+            tuple(ge.EdgeInitial(ge.zero_profile(length=3.0)) for _ in range(g.l)))
+        for bc in (spaces, ge.to_boundary_matrices(spaces, g.l, g.m)):
+            twin = dataclasses.replace(bc)
+            assert sorted(block_shapes(twin)) == sorted(block_shapes(bc))
+            assert sorted_slots(twin) == sorted_slots(bc)
+            check = (ge.check_boundary_spaces if isinstance(bc, ge.BoundarySpacesBC)
+                     else lambda x: ge.check_boundary_matrices(x, coeffs))
+            want, got = check(bc), check(twin)
+            assert got.verdict == want.verdict == "WellPosed"
+            for key in ("sigma_min", "sigma_max", "determinant"):
+                if getattr(want, key) is not None:
+                    assert abs(getattr(got, key) - getattr(want, key)) <= \
+                        1e-12 * abs(getattr(want, key)), key
+            runs = []
+            for condition in (bc, twin):
+                st = ge.wave_init(g, coeffs, condition, init, dt_target=1 / 40, T=1.0,
+                                  external_lengths=(3.0,) * g.l)
+                st, diag, _ = ge.wave_run(st, 1.0, record_stride=8)
+                runs.append(([a.tobytes() for a in (st.p, st.q, st.fwd, st.bwd)], diag))
+            assert runs[0] == runs[1]
+
+
+def test_component_labels_match_csgraph():
+    """The least member of each node's component, against scipy's labels."""
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 7, 50, 300]:
+        for _ in range(10):
+            k = int(rng.integers(0, 2 * n))
+            a, b = rng.integers(n, size=k), rng.integers(n, size=k)
+            graph = scipy.sparse.coo_array((np.ones(k), (a, b)), shape=(n, n))
+            _, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
+            least = np.full(labels.max() + 1, n)
+            np.minimum.at(least, labels, np.arange(n))
+            assert np.array_equal(component_labels(a, b, n), least[labels])
+
+
+def test_dense_input_splits_by_its_pattern():
+    """Dense input is split into the connected components of its nonzero
+    pattern; what does not pair up stays one block, and the verdicts are those
+    of the dense matrices."""
+    # star3 with eps = 0: the third W row is zero and no row touches slot 4;
+    # the two form one 1 x 1 zero block, so the condition stays NotWellPosed
+    degenerate = star3_bc(eps=0.0)
+    flux_rows = {tuple(slots.tolist()): flux.tolist() for slots, flux
+                 in zip(block_indices(degenerate), block_indices(degenerate, "flux"))}
+    assert flux_rows == {(0, 1, 2): [1], (3,): [0], (4,): [2]}
+    assert ge.check_boundary_matrices(degenerate).verdict == "NotWellPosed"
+    assert ge.check_boundary_matrices(star3_bc()).verdict == "WellPosed"
+
+    # d0 + d1 differs from the trace dimension: one block, and the dims note
+    short = ge.BoundarySpacesBC(np.eye(3)[:, :1], np.eye(3)[:, 1:2])
+    assert [g.slots.shape for g in short.groups] == [(1, 3)]
+    report = ge.check_boundary_spaces(short)
+    assert report.verdict == "NotWellPosed"
+    assert "d0 + d1 differs from the trace dimension" in report.notes
+
+    # a path through every slot, in shuffled slot order, is one block
+    rng = np.random.default_rng(11)
+    for dim in (2, 5, 40):
+        basis = np.eye(dim) + np.eye(dim, k=1)  # column j touches slots j - 1 and j
+        basis = basis[rng.permutation(dim)][:, rng.permutation(dim)]
+        spaces = ge.BoundarySpacesBC(basis[:, :dim // 2], basis[:, dim // 2:])
+        assert [g.slots.shape for g in spaces.groups] == [(1, dim)]
+        assert ge.check_boundary_spaces(spaces).verdict == "WellPosed"
+
+    # from_blocks still refuses non-square blocks when there are several
+    with pytest.raises(ge.DimensionMismatchError, match="one of several blocks"):
+        ge.BoundaryMatricesBC.from_blocks(
+            [BlockGroup(np.array([[0, 1]]), np.array([[0]]), np.zeros((1, 0), dtype=int),
+                        np.ones((1, 1, 2)), np.ones((1, 0, 2))),
+             BlockGroup(np.array([[2]]), np.array([[1]]), np.array([[0]]),
+                        np.ones((1, 1, 1)), np.ones((1, 1, 1)))],
+            scipy.sparse.csr_array((1, 3)), m=1)
+
+
 def test_heat_dispatches_on_the_partition(compact_star):
     coeffs = ge.EdgeCoefficients(tuple(ge.constant(c) for c in (1.0, 2.0, 0.5)), ())
     init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(3)), ())
     tagged = ge.from_standard(compact_star, coeffs)
     paths = [ge.heat_init(compact_star, coeffs, bc, init, dt=1e-3, n_per_edge=20).path
-             for bc in (tagged, dataclasses.replace(tagged))]  # one dense block
+             for bc in (tagged, dataclasses.replace(tagged))]  # the same blocks, no mark
     assert paths == ["continuity", "matrices"]
 
 
@@ -281,21 +381,23 @@ def unitary_blocks(bc, rng):
 @pytest.mark.parametrize("case", ["real", "complex", "dense-real", "dense-complex", "delta"])
 def test_solve_matches_the_csr_product(case):
     """The per-shape product equals the CSR product of the same blocks, for real
-    and complex stacks, one dense block, and a δ-coupling's value map, on one
-    step and on a block of steps; a non-finite value raises ValueError."""
+    and complex stacks, the large block of a global-basis Y0, and a δ-coupling's
+    value map, on one step and on a block of steps; a non-finite value raises
+    ValueError."""
     rng = np.random.default_rng(23)
     g, coeffs = random_mesh(rng, 12, 20, 3)
     spaces = local_condition(rng, g, coeffs, "delta" if case == "delta" else "standard")
     if "complex" in case:
         spaces = unitary_blocks(spaces, rng)
+    vertex = max(group.slots.shape[1] for group in spaces.groups)
     if "dense" in case:
-        spaces = dataclasses.replace(spaces)  # one block over every trace slot
+        spaces = reference_spaces(spaces)  # a block larger than any vertex block
     matrices = ge.to_boundary_matrices(spaces, g.l, g.m)
     update = ge.vertex_update_matrix(matrices, coeffs)
     dim = g.trace_dim
     # a degree-1 vertex scatters by a real +-1 even when its block is complex
     assert (np.dtype(complex) in {s.dtype for _, s in update.stacks}) == ("complex" in case)
-    assert ([s.shape for _, s in update.stacks] == [(1, dim, dim)]) == ("dense" in case)
+    assert (max(s.shape[1] for _, s in update.stacks) > vertex) == ("dense" in case)
     assert (update.value_map is not None) == (case == "delta")
     oracle, _ = criterion_matrices(matrices, coeffs)
     for shape in ((dim,), (1, dim), (7, dim)):

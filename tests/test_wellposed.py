@@ -5,7 +5,7 @@ import pytest
 
 import graphevolve as ge
 from conftest import (coupled_endpoints_bc, dirichlet_interval_bc,
-                      periodic_loop_bc, random_coeffs, random_graph, star3_bc)
+                      periodic_loop_bc, random_coeffs, random_graph, random_mesh, star3_bc)
 from graphevolve.wellposed import _convolution_block, _permutation_sign
 
 
@@ -291,3 +291,14 @@ def test_permutation_sign_matches_cycle_walk():
         for _ in range(20):
             p = rng.permutation(n)
             assert _permutation_sign(p) == walked(p.tolist())
+
+
+def test_determinant_reports_no_negative_zero():
+    """A zero real or imaginary part of the determinant is +0.0, so no report
+    prints -0.0; negating a real determinant used to leave -0.0."""
+    for seed in range(20):
+        g, coeffs = random_mesh(np.random.default_rng(seed), 8, 12, 2)
+        matrices = ge.to_boundary_matrices(ge.from_standard(g, coeffs), g.l, g.m)
+        det = ge.check_boundary_matrices(matrices, coeffs).determinant
+        assert det != 0.0
+        assert not np.signbit([x for x in (det.real, det.imag) if x == 0.0]).any(), seed
