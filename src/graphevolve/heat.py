@@ -37,7 +37,7 @@ from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices, trac
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, SingularSystemError
 from .graph import MetricGraph
-from .initial import InitialData, edge_lengths
+from .initial import InitialData, edge_lengths, require_finite_positive
 from .timeloop import run
 from .wellposed import require_well_posed
 
@@ -169,12 +169,16 @@ def factorize(a: scipy.sparse.csc_array) -> tuple[SparseFactor, float]:
 def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
               dt: float, theta: float = 0.5, n_per_edge: int = 100,
               external_lengths=()) -> HeatState:
-    """Assemble and factorize the implicit system; verify well-posedness first."""
+    """Assemble and factorize the implicit system; verify well-posedness first.
+
+    Raises DomainError if ``dt`` is not finite and > 0.
+    """
     if not 0.5 <= theta <= 1.0:
         raise ValueError("theta must lie in [1/2, 1]")
     if n_per_edge < 4:
         raise ValueError("need at least 4 cells per edge")
     lengths = edge_lengths(g, coeffs, init, external_lengths)
+    require_finite_positive("dt", dt)
 
     require_well_posed(bc, coeffs)
     nonlocal_kernels = None

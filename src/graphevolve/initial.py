@@ -149,6 +149,13 @@ def edge_lengths(g, coeffs, init: InitialData, external_lengths) -> list[float]:
         raise DimensionMismatchError("external_lengths must list one length per external edge")
     lengths = [float(L) for L in external_lengths]
     for k, L in enumerate(lengths):
-        if not 0.0 < L < math.inf:
-            raise DomainError(f"external edge {k}: length {L!r} is not finite and > 0")
+        require_finite_positive(f"external edge {k}: length", L)
     return lengths + [1.0] * g.m
+
+
+def require_finite_positive(what: str, value: float) -> None:
+    """Raise DomainError unless ``value`` (a length, time step or end time) is
+    finite and > 0; ``what`` names it in the message."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} {value!r} is not finite and > 0")

@@ -8,8 +8,9 @@ characteristic primitives that also shift exactly in the interior; only their
 inflow endpoints are integrated in time (trapezoid, q = 2 dF/dt and
 p = 2 dG/dt at the respective inflow ends).
 
-Storage: p, q, F and G are each one complex array over all edges, external
-edges first, every edge a ring of its grid nodes.  The step counter k is the
+Storage: p, q, F and G are each one complex array over all edges, every edge
+a ring of its grid nodes, and the rings packed by size: rings of one size sit
+side by side, in ``edges()`` order among themselves.  The step counter k is the
 ring head of every edge: node i of the left-moving p and G sits at ring slot
 (i + k) mod size, node i of the right-moving q and F at (i - k) mod size.  A
 step therefore moves no interior data; it gathers and scatters only the
@@ -35,8 +36,9 @@ step writes p = 0 at the cut and holds G there, which is the inflow when the
 data vanish beyond the cut.  Energy and mass are those of [0, L].
 
 Grid-order arrays (and u = F + G) are built only when read: per edge by
-``WaveEdgeFields``, and for all edges at once, one concatenation per field,
-by a recorded snapshot.
+``WaveEdgeFields``, and for all edges at once by a recorded snapshot.  All
+rings of one size d have the same head, so the snapshot unrolls them as one
+(count, d) block per size and field: two column-slice copies.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .errors import (
     UnsupportedVariableCoefficientError,
 )
 from .graph import MetricGraph
-from .initial import InitialData, edge_lengths
+from .initial import InitialData, edge_lengths, require_finite_positive
 from .timeloop import run
 from .wellposed import VertexUpdate, require_well_posed, vertex_update_matrix
 
@@ -85,7 +87,7 @@ class WaveEdgeFields:
 
     @property
     def h(self) -> float:
-        return float(self.s[1] - self.s[0])
+        return float(self._state.spacing[self._edge])
 
     def _unroll(self, packed: np.ndarray, shift: int) -> np.ndarray:
         """Grid-order copy of a ring whose node i sits at slot (i + shift) % size."""
@@ -120,15 +122,19 @@ class WaveEdgeFields:
 
 @dataclass
 class WaveState:
-    """Wave fields of all edges packed in ``edges()`` order (external, then internal).
+    """Wave fields of all edges, packed by ring size.
 
     Edge e owns slots ``start[e] .. start[e] + size[e] - 1`` of ``p``, ``q``,
-    ``fwd`` and ``bwd``.  After k steps node i of a left-moving field (p, G)
-    sits at slot ``start + (i + k) % size`` and node i of a right-moving field
-    (q, F) at ``start + (i - k) % size``: the step counter is the ring head of
-    every edge, so the interior shift of a step moves no data.  The
-    displacement is u = F + G from step 0 on: with zero initial velocity
-    F = G = u0 / 2, so F + G is u0 exactly, up to the last bit of subnormals.
+    ``fwd`` and ``bwd``.  The rings sit in ascending size, rings of one size
+    side by side in ``edges()`` order: ``order`` lists the edges slot after
+    slot, and ``start`` is not monotone in edge order.  ``spacing[e]`` is the
+    grid spacing of edge e, ``grids[e][1] - grids[e][0]``.  After k steps
+    node i of a left-moving field (p, G) sits at slot ``start + (i + k) % size``
+    and node i of a right-moving field (q, F) at ``start + (i - k) % size``:
+    the step counter is the ring head of every edge, so the interior shift of
+    a step moves no data.  The displacement is u = F + G from step 0 on:
+    with zero initial velocity F = G = u0 / 2, so F + G is u0 exactly, up to
+    the last bit of subnormals.
     """
 
     graph: MetricGraph
@@ -136,9 +142,11 @@ class WaveState:
     dt: float
     update: VertexUpdate
     grids: tuple[np.ndarray, ...]
+    spacing: np.ndarray
     mu: np.ndarray
     start: np.ndarray
     size: np.ndarray
+    order: np.ndarray
     p: np.ndarray
     q: np.ndarray
     fwd: np.ndarray
@@ -201,12 +209,15 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     Refuses nonlocal kernels and boundary conditions that fail the criterion
     of their form (``require_well_posed``) at the given speeds; boundary
     spaces are then converted to boundary matrices.  Also refuses variable
-    coefficients, excessive speed snapping, and external initial data that do
-    not vanish at the cut; ``external_lengths`` need only hold them.  Raises
+    coefficients, excessive speed snapping, external initial data that do not
+    vanish at the cut (``external_lengths`` need only hold them), and a
+    ``dt_target`` or ``T`` that is not finite and > 0 (``DomainError``).  Raises
     SingularUpdateError if the Determinant criterion fails at the snapped
     speeds; a matrices form whose speeds snap exactly is decided once.
     """
     lengths = edge_lengths(g, coeffs, init, external_lengths)
+    require_finite_positive("dt_target", dt_target)
+    require_finite_positive("T", T)
     if isinstance(bc, BoundarySpacesBC) and bc.nonlocal_kernels is not None:
         raise UnsupportedNonlocalConditionError(
             "the wave propagator does not support nonlocal kernels"
@@ -223,7 +234,9 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
              for L, profile in zip(lengths, coeffs.external + coeffs.internal)]
     mu = np.array([mu_t for _, mu_t in snaps])
     size = np.array([n + 1 for n, _ in snaps], dtype=np.int64)
-    start = np.concatenate(([0], np.cumsum(size)[:-1])).astype(np.int64)
+    order = np.argsort(size, kind="stable")  # the rings, packed by size
+    start = np.empty_like(size)
+    start[order] = np.concatenate(([0], np.cumsum(size[order])[:-1]))
     packed = [np.empty(int(size.sum()), dtype=complex) for _ in range(4)]  # p, q, F, G
     grids = []
     for e, (L, edge_init, (n, mu_t)) in enumerate(zip(lengths, init.external + init.internal,
@@ -253,7 +266,9 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
         moved = ", ".join(f"edge {e}: {c:.6g} -> {mu[e]:.6g}"
                           for e, c in enumerate(given) if c != mu[e])
         raise SingularUpdateError(f"{exc} at the snapped wave speeds ({moved})") from exc
-    return WaveState(g, 0.0, dt, update, tuple(grids), mu, start, size, *packed)
+    spacing = np.array([s[1] - s[0] for s in grids])
+    return WaveState(g, 0.0, dt, update, tuple(grids), spacing, mu, start, size, order,
+                     *packed)
 
 
 # A block gathers the incoming values of its K steps as one (K, l + 2m) array.
@@ -353,17 +368,16 @@ def _trapezoid(state: WaveState, fields) -> np.ndarray:
     ``fields`` holds (values, shift) pairs: node i of `values` sits at ring
     slot (i + shift) % size.  A ring holds every node of its edge once, so
     the trapezoid sum is the ring total minus half of the two end nodes.
+    The sums are taken ring after ring in slot order and returned in edge order.
     """
+    start, size = state.start[state.order], state.size[state.order]
     total = ends = 0.0
     for values, shift in fields:
-        total = total + np.add.reduceat(values, state.start)
-        ends = ends + (values[state.start + shift % state.size]
-                       + values[state.start + (shift - 1) % state.size])
-    return total - 0.5 * ends
-
-
-def _spacings(state: WaveState) -> np.ndarray:
-    return np.array([s[1] - s[0] for s in state.grids])
+        total = total + np.add.reduceat(values, start)
+        ends = ends + (values[start + shift % size] + values[start + (shift - 1) % size])
+    sums = np.empty_like(total)
+    sums[state.order] = total - 0.5 * ends
+    return sums
 
 
 def energy(state: WaveState) -> float:
@@ -371,32 +385,39 @@ def energy(state: WaveState) -> float:
     k = state.step_count
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged state's energy is inf or nan
         sums = _trapezoid(state, ((np.abs(state.p) ** 2, k), (np.abs(state.q) ** 2, -k)))
-    return float(0.25 * (_spacings(state) @ sums))
+    return float(0.25 * (state.spacing @ sums))
 
 
 def mass(state: WaveState) -> float:
     k = state.step_count  # u = F + G
     fields = ((state.fwd.real, -k), (state.bwd.real, k))
-    return float(_spacings(state) @ _trapezoid(state, fields))
+    return float(state.spacing @ _trapezoid(state, fields))
 
 
 def _snapshot(state: WaveState):
     """(t, per-edge u, per-edge u_t) in grid order, built for all edges at once.
 
     The same arithmetic as ``WaveEdgeFields``: u = F + G and u_t = (p + q) / 2.
-    Each edge's arrays are views into one array per field.  Slices, unlike an
-    index gather, need no per-node index arrays, so a record's peak memory is
-    about its output.
+    Each edge's arrays are views into one array per field, laid out as the
+    rings.  The rings of one size d are one (count, d) block whose rows share
+    the head k mod d, so a block unrolls as two column slices: no per-edge
+    Python, and, unlike an index gather, no per-node index arrays, so a
+    record's peak memory is about its output.
     """
     k = state.step_count
     start, end = state.start.tolist(), (state.start + state.size).tolist()
+    sizes, counts = np.unique(state.size, return_counts=True)
+    bounds = np.cumsum(sizes * counts).tolist()
+    blocks = list(zip([0] + bounds[:-1], bounds, sizes.tolist()))
 
     def grid_order(packed, shift):
-        """Every ring in grid order, node i read from slot (i + shift) % size: a ring
-        unrolls as its slices from the head to its end and from its start to the head."""
-        heads = (state.start + shift % state.size).tolist()
-        return np.concatenate([piece for a, h, b in zip(start, heads, end)
-                               for piece in (packed[h:b], packed[a:h])])
+        """Every ring in grid order, node i read from slot (i + shift) % size."""
+        out = np.empty_like(packed)
+        for a, b, d in blocks:
+            rings, rows, r = packed[a:b].reshape(-1, d), out[a:b].reshape(-1, d), shift % d
+            rows[:, :d - r] = rings[:, r:]
+            rows[:, d - r:] = rings[:, :r]
+        return out
 
     u = grid_order(state.fwd, -k)
     u += grid_order(state.bwd, k)
@@ -410,8 +431,9 @@ def _snapshot(state: WaveState):
 def wave_run(state: WaveState, T: float, record_stride: int = 1):
     """Step until time T; return (state, diagnostics, snapshots).
 
-    Snapshots are (t, per-edge u copies, per-edge u_t copies) tuples recorded
-    every record_stride steps, including the initial and final states; each
-    record interval is one ``wave_step`` call.
+    Snapshots are (t, per-edge u, per-edge u_t) tuples recorded every
+    record_stride steps, including the initial and final states; each record's
+    per-edge arrays are views into one array per field, which the state does
+    not share.  Each record interval is one ``wave_step`` call.
     """
     return run(state, T, record_stride, wave_step, _snapshot, energy, mass)

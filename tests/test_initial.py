@@ -62,3 +62,22 @@ def test_init_refuses_an_external_length_that_is_not_finite_and_positive(equatio
             ge.wave_init(g, coeffs, ge.from_standard(g, coeffs), init, dt_target=0.01, T=0.1,
                          external_lengths=(length,))
     assert str(info.value) == f"external edge 0: length {length!r} is not finite and > 0"
+
+
+@pytest.mark.parametrize("value", [-0.1, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["heat dt", "wave dt_target", "wave T"])
+def test_init_refuses_a_time_step_or_end_time_that_is_not_finite_and_positive(name, value):
+    g = ge.MetricGraph(3, [(0, 1), (0, 2)], [0])
+    coeffs = ge.unit_coefficients(2, 1)
+    zero = ge.EdgeInitial(ge.zero_profile())
+    init = ge.InitialData((zero, zero), (zero,))
+    equation, arg = name.split()
+    with pytest.raises(ge.DomainError) as info:
+        if equation == "heat":
+            ge.heat_init(g, coeffs, ge.from_standard(g, coeffs), init, dt=value,
+                         external_lengths=(1.0,))
+        else:
+            times = {"dt_target": 0.01, "T": 0.1, arg: value}
+            ge.wave_init(g, coeffs, ge.from_standard(g, coeffs), init,
+                         external_lengths=(1.0,), **times)
+    assert str(info.value) == f"{arg} {value!r} is not finite and > 0"

@@ -436,6 +436,43 @@ def test_snapshot_matches_the_edge_fields(star):
             assert not any(np.shares_memory(a, f) for f in (st.fwd, st.bwd, st.p, st.q))
 
 
+def test_rings_of_one_size_apart_in_edge_order():
+    """On a square whose speeds alternate 1, 2, 1, 2, with an external edge of the
+    first size, rings of one size are not neighbours in edges() order.  Through
+    several wraps of every ring the snapshot equals the per-edge readers byte for
+    byte and shares no memory with the state, and energy and mass equal per-edge
+    trapezoid sums of the readers, each edge at its own spacing."""
+    g = ge.MetricGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0])
+    coeffs = ge.EdgeCoefficients(tuple(ge.constant(x) for x in (1.0, 4.0, 1.0, 4.0)),
+                                 (ge.constant(1.0),))
+    rng = np.random.default_rng(5)
+    init = ge.InitialData(
+        tuple(ge.EdgeInitial(ge.gaussian(rng.uniform(0.3, 0.7), 0.1, amplitude=rng.normal()),
+                             ge.sine_mode(1, rng.normal())) for _ in range(4)),
+        (ge.EdgeInitial(ge.gaussian(0.3, 0.05)),))
+    st = ge.wave_init(g, coeffs, ge.from_standard(g, coeffs), init, dt_target=1 / 20,
+                      T=10.0, external_lengths=(1.0,))
+    sizes = [e.s.size for e in st.edges()]
+    assert sizes == [21, 21, 11, 21, 11]
+    assert sorted(st.start.tolist()) != st.start.tolist()  # not packed in edge order
+    for step in range(1, 4 * max(sizes) + 8):
+        ge.wave_step(st)
+        if step % 7:
+            continue
+        t, u, ut = _snapshot(st)
+        assert t == st.t
+        assert [a.tobytes() for a in u] == [e.u.tobytes() for e in st.edges()]
+        assert [a.tobytes() for a in ut] == [((e.p + e.q) / 2).tobytes() for e in st.edges()]
+        for a in u + ut:
+            assert not any(np.shares_memory(a, f) for f in (st.fwd, st.bwd, st.p, st.q))
+        fields = [{"p": e.p, "q": e.q, "u": e.u, "h": e.h} for e in st.edges()]
+        e_ref, m_ref, m_scale = reference_diagnostics(fields)
+        assert abs(energy(st) - e_ref) <= 1e-12 * e_ref
+        assert abs(mass(st) - m_ref) <= 1e-12 * m_scale
+    assert [e.h for e in st.edges()] == [s[1] - s[0] for s in st.grids]
+    assert np.max(np.abs(st.external[0].u)) > 1e-3  # data still on the external edge
+
+
 def test_boundary_spaces_and_matrices_step_identically(star):
     coeffs = ge.EdgeCoefficients((ge.constant(1.0), ge.constant(4.0)), (ge.constant(1.0),))
     spaces = ge.from_standard(star, coeffs)

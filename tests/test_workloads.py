@@ -2,7 +2,8 @@
 
 The inputs come from ``perfbench/workloads.py`` and the expected diagnostics
 from ``perfbench/reference/``; both, and the gates that compare them, are
-imported read-only.
+imported read-only.  The wave runs also check every recorded snapshot against
+the per-edge readers.
 """
 
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import graphevolve as ge
+from graphevolve import wave
 from graphevolve.config import parse_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -18,14 +20,33 @@ import gates  # noqa: E402
 import workloads  # noqa: E402
 
 
+def check_snapshots_against_edge_fields(monkeypatch) -> list:
+    """Make every wave record compare its snapshot, byte for byte, with the
+    per-edge readers; the returned list collects the times checked."""
+    snapshot, checked = wave._snapshot, []
+
+    def checking(state):
+        t, u, ut = snapshot(state)
+        edges = state.edges()
+        assert [a.tobytes() for a in u] == [e.u.tobytes() for e in edges], t
+        assert [a.tobytes() for a in ut] == [((e.p + e.q) / 2).tobytes() for e in edges], t
+        checked.append(t)
+        return t, u, ut
+
+    monkeypatch.setattr(wave, "_snapshot", checking)
+    return checked
+
+
 @pytest.mark.parametrize("name", ["heat_star", "wave_long", "wave_mesh"])
-def test_seed0_workload_matches_reference(name):
+def test_seed0_workload_matches_reference(name, monkeypatch):
     cfg = parse_config(workloads.GENERATORS[name](gates.DEFAULT_SEED))
     sim = cfg.sim
     if sim.equation == "wave":
         state = ge.wave_init(cfg.graph, cfg.coeffs, cfg.bc, cfg.initial, sim.dt, sim.T,
                              snap_tol=sim.snap_tol, external_lengths=cfg.external_lengths)
+        checked = check_snapshots_against_edge_fields(monkeypatch)
         _, diag, _ = ge.wave_run(state, sim.T, sim.record_stride)
+        assert checked == diag.times
     else:
         state = ge.heat_init(cfg.graph, cfg.coeffs, cfg.bc, cfg.initial, sim.dt,
                              theta=sim.theta, n_per_edge=sim.n_per_edge,
