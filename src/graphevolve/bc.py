@@ -257,12 +257,32 @@ class _Blocks:
 
 
 def _full_column_rank(stack: np.ndarray) -> bool:
-    """Whether every (n x a) block has a singular values above max(n, a) * eps * sigma_max."""
-    _, n, a = stack.shape
-    if a == 0 or a > n:
-        return a == 0
-    s = np.linalg.svd(stack, compute_uv=False)
-    return bool(np.all(s[:, -1] > max(n, a) * np.finfo(float).eps * s[:, 0]))
+    """The rank rule: every (n x a) block has rank a under ``np.linalg.matrix_rank``'s
+    default tolerance, its a-th singular value above max(n, a) * eps * sigma_max."""
+    return stack.shape[2] == 0 or bool(np.all(np.linalg.matrix_rank(stack) == stack.shape[2]))
+
+
+def sigma_tol(dim: int) -> float:
+    """The threshold of the invertibility rule (``invertible``) at dimension `dim`."""
+    return dim * 1e-12
+
+
+def invertible(sigma_min: float, sigma_max: float, dim: int) -> bool:
+    """The invertibility rule: a matrix of dimension `dim` is invertible when its
+    inverse condition number sigma_min / sigma_max is above dim * 1e-12 (not NaN)."""
+    return sigma_min > sigma_tol(dim) * sigma_max
+
+
+def block_sigmas(stacks) -> tuple[float, float]:
+    """Smallest and largest singular value over stacked square blocks,
+    each row scaled to unit inf-norm first."""
+    smin, smax = np.inf, 0.0
+    for m in stacks:
+        peak = np.abs(m).max(axis=2, initial=0.0)
+        peak[peak == 0.0] = 1.0
+        s = np.linalg.svd(m / peak[:, :, None], compute_uv=False)
+        smin, smax = min(smin, float(s[:, -1].min())), max(smax, float(s[:, 0].max()))
+    return smin, smax
 
 
 def _annihilator_rows(basis: np.ndarray) -> np.ndarray:
@@ -587,28 +607,26 @@ def _annihilators(bc: BoundarySpacesBC):
     return groups, _assembled(groups, False, True, bc.trace_dim) @ bc.sparse_U
 
 
+def joint_sigmas(bc: BoundarySpacesBC) -> tuple[float, float]:
+    """``block_sigmas`` of the joint basis [Y0 | Y1], which are those of its blocks."""
+    return block_sigmas(np.concatenate([g.flux_block, g.value_block], axis=2)
+                        for g in bc.groups)
+
+
 def to_boundary_matrices(bc: BoundarySpacesBC, l: int, m: int) -> BoundaryMatricesBC:
     """Row form of the two membership conditions.
 
     k0 rows annihilate Y1 (value conditions); k1 rows annihilate Y0 applied to
     the flux trace plus U-terms, with the endpoint speeds restoring the
     raw-derivative convention in W.  The rows keep the blocks of `bc`.
+    Raises NotComplementaryError exactly when the DirectSum criterion fails.
     """
     dim = bc.trace_dim
     if l + 2 * m != dim:
         raise DimensionMismatchError(f"l + 2m = {l + 2 * m} does not match trace dim {dim}")
-    if bc.d0 + bc.d1 != dim:
-        raise NotComplementaryError(
-            f"d0 + d1 = {bc.d0 + bc.d1} != {dim}; conversion undefined"
-        )
-    # singular values of [Y0 | Y1] are those of its blocks together
-    smin, smax = np.inf, 0.0
-    for g in bc.groups:
-        s = np.linalg.svd(np.concatenate([g.flux_block, g.value_block], axis=2),
-                          compute_uv=False)
-        smin, smax = min(smin, s[:, -1].min()), max(smax, s[:, 0].max())
-    if smin <= dim * np.finfo(float).eps * smax * 100:
-        raise NotComplementaryError("Y0 and Y1 are not complementary (joint basis singular)")
+    if bc.d0 + bc.d1 != dim or not invertible(*joint_sigmas(bc), dim):
+        raise NotComplementaryError(f"Y0 (dim {bc.d0}) and Y1 (dim {bc.d1}) are not "
+                                    f"complementary in the trace space (dim {dim})")
 
     groups, u_rows = _annihilators(bc)
     if bc.mu_endpoints is not None:

@@ -208,7 +208,8 @@ class EdgeTransform:
     def phi(self, s: float) -> float:
         if not -1e-12 <= s <= self.length * (1.0 + 1e-12):
             raise DomainError(f"s = {s} outside [0, {self.length}]")
-        return _simpson(lambda r: 1.0 / mu(self.profile, r), 0.0, float(s), self.quad_panels)
+        s = min(max(float(s), 0.0), self.length)  # within the slack: onto the edge
+        return _simpson(lambda r: 1.0 / mu(self.profile, r), 0.0, s, self.quad_panels)
 
     def phibar(self, s: float) -> float:
         return self.cbar * self.phi(s)

@@ -33,7 +33,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices, trace_rows
+from .bc import (BoundaryMatricesBC, BoundarySpacesBC, invertible, to_boundary_matrices,
+                 trace_rows)
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, SingularSystemError
 from .graph import MetricGraph
@@ -46,7 +47,7 @@ from .wellposed import require_well_posed
 class HeatEdgeFields:
     s: np.ndarray
     u: np.ndarray  # from HeatState.edges(): a view into the packed state vector
-    lam: np.ndarray  # lambda at the nodes
+    lam: np.ndarray  # lambda at the nodes: a view into HeatState.lam
 
     @property
     def h(self) -> float:
@@ -76,7 +77,9 @@ class SparseFactor:
 class HeatState:
     """Heat field of all edges packed in ``edges()`` order (external, then internal).
 
-    Edge e owns ``u[offsets[e]:offsets[e] + grids[e].size]``.
+    Edge e owns ``u[offsets[e]:offsets[e] + grids[e].size]``, and lambda at
+    its nodes is the same slice of ``lam``.  ``spacing[e]`` is the grid
+    spacing of edge e, ``grids[e][1] - grids[e][0]``.
     """
 
     graph: MetricGraph
@@ -84,7 +87,8 @@ class HeatState:
     dt: float
     theta: float
     grids: tuple[np.ndarray, ...]
-    lam: tuple[np.ndarray, ...]  # lambda at the nodes of each grid
+    spacing: np.ndarray
+    lam: np.ndarray
     offsets: np.ndarray
     u: np.ndarray
     factor: SparseFactor  # LU of the implicit matrix a
@@ -94,8 +98,8 @@ class HeatState:
     step_count: int = 0
 
     def edges(self) -> list[HeatEdgeFields]:
-        return [HeatEdgeFields(s, self.u[off:off + s.size], lam)
-                for s, lam, off in zip(self.grids, self.lam, self.offsets)]
+        return [HeatEdgeFields(s, self.u[off:off + s.size], self.lam[off:off + s.size])
+                for s, off in zip(self.grids, self.offsets)]
 
     @property
     def external(self) -> list[HeatEdgeFields]:
@@ -137,7 +141,8 @@ def factorize(a: scipy.sparse.csc_array) -> tuple[SparseFactor, float]:
     ||a^-1||_1 over LU solves (Higham & Tisseur 2000).  One block column
     keeps it deterministic: wider blocks draw random columns from NumPy's
     global generator.  Raises SingularSystemError if SuperLU meets an exactly
-    singular pivot, or if the estimate is not finite or cond * N * 1e-12 >= 1.
+    singular pivot, or if 1 / cond fails the invertibility rule at dimension N
+    (``bc.invertible``): cond * N * 1e-12 >= 1, or cond is not finite.
     """
     n = a.shape[0]
     try:
@@ -160,7 +165,7 @@ def factorize(a: scipy.sparse.csc_array) -> tuple[SparseFactor, float]:
         a.shape, dtype=a.dtype, matvec=solve, matmat=solve,
         rmatvec=lambda x: solve(x, "H"), rmatmat=lambda x: solve(x, "H"))
     cond = float(scipy.sparse.linalg.norm(a, 1) * onenormest(inverse, t=1))
-    if not np.isfinite(cond) or cond * n * 1e-12 >= 1.0:
+    if not invertible(1.0, cond, n):  # inverse condition number 1 / cond
         raise SingularSystemError(
             f"implicit system singular at this resolution (cond_1 ~ {cond:.3e})")
     return SparseFactor(lu), cond
@@ -250,7 +255,7 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         raise AssertionError(f"assembled {row} rows for {total} unknowns")
 
     factor, cond = factorize(a.to_coo(total).tocsc())
-    return HeatState(g, 0.0, dt, theta, tuple(grids), tuple(lams), offsets,
+    return HeatState(g, 0.0, dt, theta, tuple(grids), spacing, lam, offsets,
                      np.concatenate(values), factor, b.to_coo(total).tocsr(), cond, mode)
 
 
@@ -334,22 +339,16 @@ def heat_step(state: HeatState, steps: int = 1) -> None:
         state.t = state.step_count * state.dt
 
 
-def _edge_ends(state: HeatState):
-    """First and last packed node of every edge, and its spacing h."""
-    start = state.offsets
-    return (start, np.append(start[1:], state.u.size) - 1,
-            np.array([s[1] - s[0] for s in state.grids]))
-
-
-def _trapezoid(values: np.ndarray, start: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Per-edge trapezoid sums, at unit spacing, of a packed nodal vector: each
-    edge's total minus half of its two end nodes."""
-    return np.add.reduceat(values, start) - 0.5 * (values[start] + values[last])
+def _trapezoid(state: HeatState, values: np.ndarray) -> float:
+    """The trapezoid rule of a packed nodal vector over all edges: each edge's
+    total minus half of its two end nodes, times its spacing."""
+    start, last = state.offsets, np.append(state.offsets[1:], values.size) - 1
+    return float(state.spacing @ (np.add.reduceat(values, start)
+                                  - 0.5 * (values[start] + values[last])))
 
 
 def mass(state: HeatState) -> float:
-    start, last, h = _edge_ends(state)
-    return float(h @ _trapezoid(state.u.real, start, last))
+    return _trapezoid(state, state.u.real)
 
 
 def energy(state: HeatState) -> float:
@@ -357,13 +356,13 @@ def energy(state: HeatState) -> float:
 
     u_s is ``np.gradient`` of each edge: central inside, one-sided at the ends.
     """
-    u = state.u
-    start, last, h = _edge_ends(state)
+    u, h, start = state.u, state.spacing, state.offsets
+    last = np.append(start[1:], u.size) - 1
     us = np.empty_like(u)
     us[1:-1] = (u[2:] - u[:-2]) / (2.0 * np.repeat(h, last - start + 1)[1:-1])
     us[start] = (u[start + 1] - u[start]) / h
     us[last] = (u[last] - u[last - 1]) / h
-    return float(0.5 * (h @ _trapezoid(np.concatenate(state.lam) * np.abs(us) ** 2, start, last)))
+    return 0.5 * _trapezoid(state, state.lam * np.abs(us) ** 2)
 
 
 def _snapshot(state: HeatState):

@@ -51,6 +51,7 @@ import numpy as np
 from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
 from .coeffs import EdgeCoefficients, constant
 from .errors import (
+    DomainError,
     SingularUpdateError,
     SpeedSnapExceededError,
     SupportViolationError,
@@ -210,14 +211,17 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     of their form (``require_well_posed``) at the given speeds; boundary
     spaces are then converted to boundary matrices.  Also refuses variable
     coefficients, excessive speed snapping, external initial data that do not
-    vanish at the cut (``external_lengths`` need only hold them), and a
-    ``dt_target`` or ``T`` that is not finite and > 0 (``DomainError``).  Raises
+    vanish at the cut (``external_lengths`` need only hold them), a
+    ``dt_target`` or ``T`` that is not finite and > 0, and a ``snap_tol`` that
+    is not finite and >= 0 (``DomainError``).  Raises
     SingularUpdateError if the Determinant criterion fails at the snapped
     speeds; a matrices form whose speeds snap exactly is decided once.
     """
     lengths = edge_lengths(g, coeffs, init, external_lengths)
     require_finite_positive("dt_target", dt_target)
     require_finite_positive("T", T)
+    if not 0.0 <= float(snap_tol) < math.inf:
+        raise DomainError(f"snap_tol {float(snap_tol)!r} is not finite and >= 0")
     if isinstance(bc, BoundarySpacesBC) and bc.nonlocal_kernels is not None:
         raise UnsupportedNonlocalConditionError(
             "the wave propagator does not support nonlocal kernels"

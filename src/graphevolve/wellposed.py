@@ -12,7 +12,8 @@ that fits the form of a boundary condition:
   problem, backed by an explicit discretization of the resolvent-like block.
 
 "Nonzero determinant" is always decided through singular values after row
-equilibration; raw determinants are reported as evidence only.
+equilibration, by the invertibility rule ``bc.invertible``; raw determinants
+are reported as evidence only.
 
 Both local criteria are computed on the blocks of the condition
 (``bc.groups``: its vertices, or the connected components of dense input),
@@ -31,7 +32,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .bc import BoundaryMatricesBC, BoundarySpacesBC, component_labels, block_matrix
+from .bc import (BoundaryMatricesBC, BoundarySpacesBC, block_matrix, block_sigmas,
+                 component_labels, invertible, joint_sigmas, sigma_tol)
 from .coeffs import EdgeCoefficients
 from .errors import (
     BadT0Error,
@@ -137,22 +139,6 @@ class WellPosednessReport:
         return self.verdict == WELL_POSED
 
 
-def _sigma_tol(dim: int) -> float:
-    return dim * 1e-12
-
-
-def _block_sigmas(stacks) -> tuple[float, float]:
-    """Smallest and largest singular value over stacked square blocks,
-    each row scaled to unit inf-norm first."""
-    smin, smax = np.inf, 0.0
-    for m in stacks:
-        peak = np.abs(m).max(axis=2, initial=0.0)
-        peak[peak == 0.0] = 1.0
-        s = np.linalg.svd(m / peak[:, :, None], compute_uv=False)
-        smin, smax = min(smin, float(s[:, -1].min())), max(smax, float(s[:, 0].max()))
-    return smin, smax
-
-
 def _permutation_sign(p: np.ndarray) -> int:
     """+1 for an even permutation of 0..n-1, -1 for an odd one: (-1)^(n - cycles)."""
     cycles = np.unique(component_labels(np.arange(p.size), p, p.size)).size
@@ -189,6 +175,16 @@ def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None):
     return out
 
 
+def _sigma_report(criterion: str, sigmas, dim: int, dims: dict,
+                  **fields) -> WellPosednessReport:
+    """The verdict of ``bc.invertible`` on extreme singular values `sigmas`."""
+    smin, smax = sigmas
+    return WellPosednessReport(
+        verdict=WELL_POSED if invertible(smin, smax, dim) else NOT_WELL_POSED,
+        criterion=criterion, sigma_min=smin, sigma_max=smax, tol=sigma_tol(dim),
+        dims=dims, notes=(_INDEPENDENCE_NOTE,), **fields)
+
+
 def _determinant_report(bc: BoundaryMatricesBC, criterion) -> WellPosednessReport:
     """The Determinant verdict on the criterion blocks of `bc`."""
     rows, cols, blocks = zip(*criterion)
@@ -197,19 +193,8 @@ def _determinant_report(bc: BoundaryMatricesBC, criterion) -> WellPosednessRepor
             _permutation_sign(np.concatenate([c.ravel() for c in cols])):
         det = -det
     det += 0j  # a zero part reads +0.0, not -0.0
-    smin, smax = _block_sigmas(blocks)
-    tol = _sigma_tol(bc.trace_dim)
-    well = smin > tol * smax
-    return WellPosednessReport(
-        verdict=WELL_POSED if well else NOT_WELL_POSED,
-        criterion="Determinant",
-        determinant=det,
-        sigma_min=smin,
-        sigma_max=smax,
-        tol=tol,
-        dims={"l": bc.l, "m": bc.m, "k0": bc.k0, "k1": bc.k1},
-        notes=(_INDEPENDENCE_NOTE,),
-    )
+    return _sigma_report("Determinant", block_sigmas(blocks), bc.trace_dim,
+                         {"l": bc.l, "m": bc.m, "k0": bc.k0, "k1": bc.k1}, determinant=det)
 
 
 def check_boundary_matrices(bc: BoundaryMatricesBC,
@@ -238,22 +223,13 @@ def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
             "the DirectSum criterion does not apply to nonlocal kernels; "
             "use check_nonlocal_interval")
     dim = bc.trace_dim
-    tol = _sigma_tol(dim)
     dims = {"trace_dim": dim, "d0": bc.d0, "d1": bc.d1}
     if bc.d0 + bc.d1 != dim:
         return WellPosednessReport(
-            verdict=NOT_WELL_POSED, criterion="DirectSum", tol=tol, dims=dims,
+            verdict=NOT_WELL_POSED, criterion="DirectSum", tol=sigma_tol(dim), dims=dims,
             notes=(_INDEPENDENCE_NOTE, "d0 + d1 differs from the trace dimension"),
         )
-    smin, smax = _block_sigmas(np.concatenate([g.flux_block, g.value_block], axis=2)
-                               for g in bc.groups)
-    well = smin > tol * smax
-    return WellPosednessReport(
-        verdict=WELL_POSED if well else NOT_WELL_POSED,
-        criterion="DirectSum",
-        sigma_min=smin, sigma_max=smax, tol=tol, dims=dims,
-        notes=(_INDEPENDENCE_NOTE,),
-    )
+    return _sigma_report("DirectSum", joint_sigmas(bc), dim, dims)
 
 
 def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None = None,

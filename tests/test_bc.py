@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import graphevolve as ge
+from graphevolve.bc import _full_column_rank
 from conftest import random_coeffs, random_graph
 
 
@@ -220,6 +222,67 @@ def test_to_boundary_matrices_not_complementary():
     bc = ge.BoundarySpacesBC(e1, e1)
     with pytest.raises(ge.NotComplementaryError):
         ge.to_boundary_matrices(bc, 0, 1)
+
+
+def _tilted_conditions():
+    """The two dim-2 pairs on which the conversion and the DirectSum check once
+    disagreed, then seeded conditions of 1-3 dense vertex blocks in which one
+    Y0 column lies 10^-k from a Y1 column, k = 8..16."""
+    for y1, y0 in (((1, 1), (1, 1 + 1e-12)), ((1, 1e-14), (1, 2e-14))):
+        yield ge.BoundarySpacesBC(np.array(y1)[:, None], np.array(y0)[:, None])
+    rng = np.random.default_rng(25)
+    for k in range(8, 17):
+        for count in (1, 2, 3):
+            y1s, y0s = [], []
+            for _ in range(count):
+                n = int(rng.integers(2, 5))
+                a = int(rng.integers(1, n))
+                basis = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                y1s.append(basis[:, :a])
+                y0s.append(basis[:, a:])
+            y0s[0][:, 0] = y1s[0][:, 0] + 10.0 ** -k * rng.standard_normal(y1s[0].shape[0])
+            yield ge.BoundarySpacesBC(scipy.linalg.block_diag(*y1s), scipy.linalg.block_diag(*y0s))
+
+
+def test_conversion_refuses_exactly_what_the_direct_sum_check_refuses():
+    verdicts = set()
+    for bc in _tilted_conditions():
+        refused = ge.check_boundary_spaces(bc).verdict == "NotWellPosed"
+        try:
+            ge.to_boundary_matrices(bc, bc.trace_dim, 0)
+            converted = True
+        except ge.NotComplementaryError:
+            converted = False
+        assert converted != refused
+        verdicts.add(refused)
+    assert verdicts == {True, False}
+
+
+def _reference_full_column_rank(stack):
+    """Every (n x a) block has a singular values above max(n, a) * eps * sigma_max."""
+    _, n, a = stack.shape
+    if a == 0 or a > n:
+        return a == 0
+    s = np.linalg.svd(stack, compute_uv=False)
+    return bool(np.all(s[:, -1] > max(n, a) * np.finfo(float).eps * s[:, 0]))
+
+
+def test_full_column_rank_is_the_reference_rule_on_near_deficient_stacks():
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for _ in range(1500):
+        count, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        a = int(rng.integers(0, n + 2))
+        shape = (count, n, a)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if a > 1:  # make the last column nearly a combination of the others
+            mix = rng.standard_normal((count, a - 1, 1))
+            noise = 10.0 ** -rng.uniform(13.0, 17.0) * rng.standard_normal((count, n))
+            stack[:, :, -1] = (stack[:, :, :-1] @ mix)[:, :, 0] + noise
+        want = _reference_full_column_rank(stack)
+        assert _full_column_rank(stack) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_mu_endpoints_length_is_checked():

@@ -163,3 +163,12 @@ def test_unit_length_external_transform_equals_internal():
     assert internal == external
     assert internal.phi1 == internal.phi_end
     assert external.phi_inverse(0.3) == internal.phi_inverse(0.3)
+
+
+def test_phi_takes_an_argument_within_its_slack_onto_the_edge():
+    tr = ge.internal_transform(ge.quadratic_square(1, 0.5))
+    assert tr.phi(-5e-13) == 0.0
+    assert tr.phi(tr.length * (1.0 + 5e-13)) == tr.phi_end
+    assert tr.phi(tr.length) == tr.phi_end
+    with pytest.raises(ge.DomainError):
+        tr.phi(-2e-12)

@@ -81,3 +81,19 @@ def test_init_refuses_a_time_step_or_end_time_that_is_not_finite_and_positive(na
             ge.wave_init(g, coeffs, ge.from_standard(g, coeffs), init,
                          external_lengths=(1.0,), **times)
     assert str(info.value) == f"{arg} {value!r} is not finite and > 0"
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_wave_init_refuses_a_snap_tol_that_is_not_finite_and_non_negative(value):
+    g = ge.MetricGraph(3, [(0, 1), (0, 2)], [0])
+    coeffs = ge.unit_coefficients(2, 1)
+    zero = ge.EdgeInitial(ge.zero_profile())
+    init = ge.InitialData((zero, zero), (zero,))
+    bc = ge.from_standard(g, coeffs)
+    with pytest.raises(ge.DomainError) as info:
+        ge.wave_init(g, coeffs, bc, init, dt_target=0.01, T=0.1, snap_tol=value,
+                     external_lengths=(1.0,))
+    assert str(info.value) == f"snap_tol {value!r} is not finite and >= 0"
+    # 0 stays valid: these unit speeds snap exactly
+    ge.wave_init(g, coeffs, bc, init, dt_target=0.01, T=0.1, snap_tol=0.0,
+                 external_lengths=(1.0,))
