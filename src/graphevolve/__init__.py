@@ -31,8 +31,6 @@ from .coeffs import (
     internal_transform,
     mu,
     quadratic_square,
-    resample_pullback,
-    resample_pushforward,
     sampled,
     unit_coefficients,
 )
@@ -61,14 +59,9 @@ from .errors import (
     ZeroDegreeVertexError,
 )
 from .graph import (
-    DegreeSet,
-    IncidenceSet,
     MetricGraph,
     continuity_space,
-    degree_matrices,
     endpoint_vertices,
-    incidence_matrices,
-    trace_stack,
     validate_graph,
     vertex_slots,
 )

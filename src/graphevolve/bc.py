@@ -570,8 +570,9 @@ def from_generalized_node(g: MetricGraph, y_basis: np.ndarray, w: np.ndarray,
 def from_nonlocal_interval(h0_samples, h1_samples) -> BoundarySpacesBC:
     """Single-interval conditions tying each endpoint value to a kernel integral.
 
-    The kernels (sampled uniformly on [0,1]) are consumed by the heat
-    assembler as quadrature rows.  The trace bases Y1 = C^2, Y0 = {0} are
+    The kernels (sampled uniformly on [0,1], each on a grid of its own
+    length; ``kernel_values`` reads them) are consumed by the heat assembler
+    as quadrature rows.  The trace bases Y1 = C^2, Y0 = {0} are
     placeholders, not a condition: the DirectSum check, the conversion to
     matrices and both residuals refuse the result with
     UnsupportedNonlocalConditionError.
@@ -582,6 +583,17 @@ def from_nonlocal_interval(h0_samples, h1_samples) -> BoundarySpacesBC:
         raise DimensionMismatchError("kernels need at least two samples")
     return BoundarySpacesBC(np.eye(2, dtype=complex), np.zeros((2, 0), dtype=complex),
                             nonlocal_kernels=(h0, h1), mu_endpoints=np.ones(2))
+
+
+def kernel_values(samples, x) -> np.ndarray:
+    """A nonlocal kernel at the points `x` of [0, 1].
+
+    The samples lie on a uniform grid on [0, 1] of their own length; the real
+    and imaginary parts are interpolated linearly between them.
+    """
+    samples = np.asarray(samples, dtype=complex).ravel()
+    grid = np.linspace(0.0, 1.0, samples.size)
+    return np.interp(x, grid, samples.real) + 1j * np.interp(x, grid, samples.imag)
 
 
 def _annihilators(bc: BoundarySpacesBC):

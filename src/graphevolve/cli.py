@@ -12,6 +12,7 @@ heat, u and ut for wave).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -40,18 +41,9 @@ def _fmt(x: float) -> str:
 
 
 def _report_dict(report: WellPosednessReport, extra: dict | None = None) -> dict:
+    out = dataclasses.asdict(report)
     det = report.determinant
-    out = {
-        "verdict": report.verdict,
-        "criterion": report.criterion,
-        "determinant": None if det is None else {"re": det.real, "im": det.imag},
-        "sigma_min": report.sigma_min,
-        "sigma_max": report.sigma_max,
-        "tol": report.tol,
-        "dims": report.dims,
-        "young_bound": report.young_bound,
-        "notes": list(report.notes),
-    }
+    out["determinant"] = None if det is None else {"re": det.real, "im": det.imag}
     if extra:
         out.update(extra)
     return out

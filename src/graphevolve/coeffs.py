@@ -197,11 +197,6 @@ class EdgeTransform:
     phi_end: float  # phi(length), the edge travel time
 
     @property
-    def phi1(self) -> float:
-        """phi(1) of an internal edge (= phi_end)."""
-        return self.phi_end
-
-    @property
     def cbar(self) -> float:
         return 1.0 / self.phi_end
 
@@ -218,9 +213,6 @@ class EdgeTransform:
         if not -1e-12 <= t <= self.phi_end * (1.0 + 1e-12):
             raise DomainError(f"t = {t} outside [0, phi({self.length})]")
         return _invert_monotone(self.phi, float(t), 0.0, self.length)
-
-    def phibar_inverse(self, t: float) -> float:
-        return self.phi_inverse(t / self.cbar)
 
 
 def _edge_transform(profile: CoefficientProfile, length: float,
@@ -244,24 +236,3 @@ def external_transform(profile: CoefficientProfile, length: float,
     """Transform for an external edge truncated at s = length."""
     return _edge_transform(profile, length, quad_panels)
 
-
-def resample_pullback(transform: EdgeTransform, samples: np.ndarray) -> np.ndarray:
-    """Samples of f on a uniform phi-grid -> samples of f o phi on a uniform s-grid."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise ValueError("need at least two samples")
-    t_grid = np.linspace(0.0, transform.phi_end, samples.size)
-    s_grid = np.linspace(0.0, transform.length, samples.size)
-    t_of_s = np.array([transform.phi(s) for s in s_grid])
-    return np.interp(t_of_s, t_grid, samples)
-
-
-def resample_pushforward(transform: EdgeTransform, samples: np.ndarray) -> np.ndarray:
-    """Samples of g on a uniform s-grid -> samples of g o phi^{-1} on a uniform phi-grid."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise ValueError("need at least two samples")
-    t_grid = np.linspace(0.0, transform.phi_end, samples.size)
-    s_grid = np.linspace(0.0, transform.length, samples.size)
-    s_of_t = np.array([transform.phi_inverse(t) for t in t_grid])
-    return np.interp(s_of_t, s_grid, samples)

@@ -1,4 +1,4 @@
-"""Finite metric-graph model and its incidence / degree linear algebra.
+"""Finite metric-graph model and its trace-slot bookkeeping.
 
 A graph has ``n`` integer-indexed vertices, ``m`` internal edges
 parametrized on [0, 1] (0 at the tail vertex, 1 at the head) and ``l``
@@ -46,25 +46,6 @@ class MetricGraph:
         return self.l + 2 * self.m
 
 
-@dataclass(frozen=True)
-class IncidenceSet:
-    """0/1 incidence matrices; each column carries exactly one 1."""
-
-    phi_e_minus: np.ndarray  # n x l
-    phi_i_minus: np.ndarray  # n x m
-    phi_i_plus: np.ndarray  # n x m
-
-
-@dataclass(frozen=True)
-class DegreeSet:
-    """Diagonal degree matrices D^† = Φ^† (Φ^†)ᵀ and their sum."""
-
-    d_e_minus: np.ndarray
-    d_i_minus: np.ndarray
-    d_i_plus: np.ndarray
-    d_total: np.ndarray
-
-
 def validate_graph(g: MetricGraph) -> None:
     """Raise unless the graph invariants hold; warn on isolated vertices."""
     if g.n < 1:
@@ -85,28 +66,6 @@ def validate_graph(g: MetricGraph) -> None:
     isolated = sorted(set(range(g.n)) - set(endpoint_vertices(g).tolist()))
     if isolated:
         warnings.warn(f"isolated vertices present: {isolated}", stacklevel=2)
-
-
-def incidence_matrices(g: MetricGraph) -> IncidenceSet:
-    """The three 0/1 incidence matrices: column blocks of ``trace_stack(g).T``."""
-    phi = trace_stack(g).T
-    return IncidenceSet(phi[:, :g.l], phi[:, g.l:g.l + g.m], phi[:, g.l + g.m:])
-
-
-def degree_matrices(g: MetricGraph) -> DegreeSet:
-    """Diagonal degree matrices; d_total carries the joint vertex degrees."""
-    inc = incidence_matrices(g)
-    d_e = inc.phi_e_minus @ inc.phi_e_minus.T
-    d_im = inc.phi_i_minus @ inc.phi_i_minus.T
-    d_ip = inc.phi_i_plus @ inc.phi_i_plus.T
-    return DegreeSet(d_e, d_im, d_ip, d_e + d_im + d_ip)
-
-
-def trace_stack(g: MetricGraph) -> np.ndarray:
-    """Stacked incidence transposes, (l + 2m) x n, in trace order."""
-    stack = np.zeros((g.trace_dim, g.n))
-    stack[np.arange(g.trace_dim), endpoint_vertices(g)] = 1.0
-    return stack
 
 
 def endpoint_vertices(g: MetricGraph) -> np.ndarray:

@@ -33,10 +33,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .bc import (BoundaryMatricesBC, BoundarySpacesBC, invertible, to_boundary_matrices,
-                 trace_rows)
+from .bc import (BoundaryMatricesBC, BoundarySpacesBC, invertible, kernel_values,
+                 to_boundary_matrices, trace_rows)
 from .coeffs import EdgeCoefficients
-from .errors import DimensionMismatchError, SingularSystemError
+from .errors import DimensionMismatchError, DomainError, SingularSystemError
 from .graph import MetricGraph
 from .initial import InitialData, edge_lengths, require_finite_positive
 from .timeloop import run
@@ -176,23 +176,20 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
               external_lengths=()) -> HeatState:
     """Assemble and factorize the implicit system; verify well-posedness first.
 
-    Raises DomainError if ``dt`` is not finite and > 0.
+    Raises DomainError if ``dt`` is not finite and > 0, or ``n_per_edge``
+    is not a finite integer >= 4.
     """
     if not 0.5 <= theta <= 1.0:
         raise ValueError("theta must lie in [1/2, 1]")
-    if n_per_edge < 4:
-        raise ValueError("need at least 4 cells per edge")
+    if not (float(n_per_edge).is_integer() and n_per_edge >= 4):
+        raise DomainError(f"n_per_edge {n_per_edge!r} is not a finite integer >= 4")
     lengths = edge_lengths(g, coeffs, init, external_lengths)
     require_finite_positive("dt", dt)
 
     require_well_posed(bc, coeffs)
-    nonlocal_kernels = None
     if isinstance(bc, BoundaryMatricesBC):
         mode = "matrices"
     elif bc.nonlocal_kernels is not None:
-        h0, h1 = bc.nonlocal_kernels
-        nonlocal_kernels = (np.asarray(h0, dtype=complex).ravel(),
-                            np.asarray(h1, dtype=complex).ravel())
         mode = "nonlocal"
         if g.m != 1 or g.l != 0:
             raise DimensionMismatchError(
@@ -244,7 +241,7 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     h = np.concatenate((spacing, spacing[g.l:]))
 
     if mode == "nonlocal":
-        row = _assemble_nonlocal_rows(a, row, grids[g.l], offsets[g.l], nonlocal_kernels)
+        row = _assemble_nonlocal_rows(a, row, grids[g.l], offsets[g.l], bc.nonlocal_kernels)
     elif mode == "continuity":
         lam_half = 0.5 * (lam[node] + lam[node + inward])
         row = _assemble_vertex_rows(a, b, row, bc, node, inward, h, lam_half, dt, theta)
@@ -262,12 +259,11 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
 def _assemble_nonlocal_rows(a, row, s, off, kernels):
     """Endpoint value = trapezoid quadrature of kernel times the profile."""
     n = s.size
-    grid = np.linspace(0.0, 1.0, kernels[0].size)
     w = np.full(n, s[1] - s[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     for j, kernel in enumerate(kernels):
-        vals = np.interp(s, grid, kernel.real) + 1j * np.interp(s, grid, kernel.imag)
+        vals = kernel_values(kernel, s)
         node = off if j == 0 else off + n - 1
         a.add(row, np.arange(off, off + n), -w * vals)
         a.add(row, node, 1.0)

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 
 from .bc import (BoundaryMatricesBC, BoundarySpacesBC, block_matrix, block_sigmas,
-                 component_labels, invertible, joint_sigmas, sigma_tol)
+                 component_labels, invertible, joint_sigmas, kernel_values, sigma_tol)
 from .coeffs import EdgeCoefficients
 from .errors import (
     BadT0Error,
@@ -282,11 +282,8 @@ def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None
 
 def _abs_l1_restricted(samples: np.ndarray, t0: float, reflected: bool) -> float:
     """Trapezoid L1 norm of |h| (or |h(1-.)|) over [0, t0]; samples on [0,1]."""
-    samples = np.asarray(samples, dtype=complex).ravel()
-    grid = np.linspace(0.0, 1.0, samples.size)
-    t = np.linspace(0.0, t0, max(2, samples.size))
-    query = (1.0 - t) if reflected else t
-    vals = np.interp(query, grid, samples.real) + 1j * np.interp(query, grid, samples.imag)
+    t = np.linspace(0.0, t0, max(2, np.size(samples)))
+    vals = kernel_values(samples, (1.0 - t) if reflected else t)
     return float(np.trapezoid(np.abs(vals), t))
 
 
@@ -323,12 +320,9 @@ def _convolution_block(samples: np.ndarray, t0: float, n: int,
     Entry (i, j), 0 <= j <= i, multiplies u(t_j) by w h((i - j) dt), with the
     trapezoid weight w = dt halved at j = 0 and j = i; row 0 is zero.
     """
-    samples = np.asarray(samples, dtype=complex).ravel()
-    grid = np.linspace(0.0, 1.0, samples.size)
     dt = t0 / (n - 1)
     s = np.arange(n) * dt  # the lags t_i - t_j
-    arg = (1.0 - s) if reflected else s
-    h = np.interp(arg, grid, samples.real) + 1j * np.interp(arg, grid, samples.imag)
+    h = kernel_values(samples, (1.0 - s) if reflected else s)
     i, j = (index[1:] for index in np.tril_indices(n))  # drop (0, 0): row 0 is zero
     w = np.where((j == 0) | (j == i), dt * 0.5, dt)
     block = np.zeros((n, n), dtype=complex)

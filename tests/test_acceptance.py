@@ -251,8 +251,8 @@ def test_criterion_10_transform_accuracy():
         tr = ge.internal_transform(prof, quad_panels=64)
         assert abs(tr.cbar - 1.0 / np.log(2.0)) <= 1e-8
         exact = np.log(2.0)
-        e1 = abs(ge.internal_transform(prof, quad_panels=8).phi1 - exact)
-        e2 = abs(ge.internal_transform(prof, quad_panels=16).phi1 - exact)
+        e1 = abs(ge.internal_transform(prof, quad_panels=8).phi_end - exact)
+        e2 = abs(ge.internal_transform(prof, quad_panels=16).phi_end - exact)
         assert math.log2(e1 / e2) >= 3.9
 
 

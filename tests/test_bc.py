@@ -305,6 +305,17 @@ def test_nonlocal_interval_has_no_trace_rows():
             call()
 
 
+def test_kernel_values_reads_samples_on_a_grid_of_their_own_length():
+    """Three samples lie at 0, 1/2, 1 and two at 0, 1, whatever the other
+    kernel's length; real and imaginary parts are linear between them."""
+    from graphevolve.bc import kernel_values
+    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(kernel_values([0.0, 1j, 2.0], x), [0.0, 0.5j, 1j, 1.0 + 0.5j, 2.0],
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(kernel_values(np.array([[1.0, 3.0 - 4j]]), x),
+                       [1.0, 1.5 - 1j, 2.0 - 2j, 2.5 - 3j, 3.0 - 4j], rtol=0.0, atol=1e-15)
+
+
 def test_round_trip_residual_equivalence():
     rng = np.random.default_rng(31)
     coeffs = ge.EdgeCoefficients((ge.constant(2.0), ge.constant(0.5)),

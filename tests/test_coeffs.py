@@ -31,7 +31,7 @@ def test_internal_transform_constant_four():
 
 def test_internal_transform_log_profile():
     tr = ge.internal_transform(ge.quadratic_square(1.0, 1.0), quad_panels=64)
-    assert abs(tr.phi1 - np.log(2.0)) <= 1e-8
+    assert abs(tr.phi_end - np.log(2.0)) <= 1e-8
     assert abs(tr.cbar - 1.0 / np.log(2.0)) <= 1e-8
     assert tr.phi(0.5) == pytest.approx(np.log(1.5), abs=1e-8)
 
@@ -79,7 +79,7 @@ def test_cbar_times_phi1_is_one():
     for _ in range(20):
         prof = ge.quadratic_square(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0))
         tr = ge.internal_transform(prof)
-        assert tr.cbar * tr.phi1 == pytest.approx(1.0, rel=1e-15)
+        assert tr.cbar * tr.phi_end == pytest.approx(1.0, rel=1e-15)
         assert tr.phibar(1.0) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -96,14 +96,13 @@ def test_inverse_round_trip():
     tr = ge.internal_transform(ge.quadratic_square(1.0, 1.0))
     for s in np.linspace(0.05, 0.95, 7):
         assert tr.phi_inverse(tr.phi(s)) == pytest.approx(s, abs=1e-10)
-        assert tr.phibar_inverse(tr.phibar(s)) == pytest.approx(s, abs=1e-10)
 
 
 def test_simpson_fourth_order():
     exact = np.log(2.0)
     prof = ge.quadratic_square(1.0, 1.0)
-    e1 = abs(ge.internal_transform(prof, quad_panels=8).phi1 - exact)
-    e2 = abs(ge.internal_transform(prof, quad_panels=16).phi1 - exact)
+    e1 = abs(ge.internal_transform(prof, quad_panels=8).phi_end - exact)
+    e2 = abs(ge.internal_transform(prof, quad_panels=16).phi_end - exact)
     assert e1 / e2 >= 8.0
 
 
@@ -111,35 +110,6 @@ def test_mu_squared_matches_lambda():
     prof = ge.quadratic_square(1.1, 0.6)
     s = np.linspace(0.0, 1.0, 33)
     assert np.allclose(np.asarray(ge.mu(prof, s)) ** 2, prof(s), rtol=1e-14)
-
-
-def test_resample_identity():
-    tr = ge.internal_transform(ge.constant(1.0))
-    samples = np.sin(np.linspace(0.0, 1.0, 41))
-    assert np.allclose(ge.resample_pullback(tr, samples), samples, atol=1e-12)
-    assert np.allclose(ge.resample_pushforward(tr, samples), samples, atol=1e-12)
-
-
-def test_resample_closed_form():
-    # lambda = 4: phi(s) = s/2; pulling back f(x) = x gives g(s) = s/2
-    tr = ge.internal_transform(ge.constant(4.0))
-    x = np.linspace(0.0, tr.phi1, 51)
-    pulled = ge.resample_pullback(tr, x)
-    s = np.linspace(0.0, 1.0, 51)
-    assert np.allclose(pulled, s / 2.0, atol=1e-10)
-
-
-def test_resample_round_trip_converges():
-    tr = ge.internal_transform(ge.quadratic_square(1.0, 1.0))
-
-    def round_trip_error(n):
-        s = np.linspace(0.0, 1.0, n)
-        f = np.sin(2.0 * s)
-        back = ge.resample_pullback(tr, ge.resample_pushforward(tr, f))
-        return np.max(np.abs(back - f))
-
-    coarse, fine = round_trip_error(64), round_trip_error(128)
-    assert fine <= coarse / 2.0  # at least first-order shrink for interpolation pair
 
 
 def test_length_validation():
@@ -161,7 +131,6 @@ def test_unit_length_external_transform_equals_internal():
     internal = ge.internal_transform(prof, quad_panels=32)
     external = ge.external_transform(prof, 1.0, quad_panels=32)
     assert internal == external
-    assert internal.phi1 == internal.phi_end
     assert external.phi_inverse(0.3) == internal.phi_inverse(0.3)
 
 

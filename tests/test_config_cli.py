@@ -174,6 +174,19 @@ def test_simulate_matches_reference_diagnostics(tmp_path, name):
         assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-12 * scale
 
 
+def test_nonlocal_kernels_of_different_sample_counts(tmp_path):
+    """Each kernel is read on a uniform grid of its own length, so a constant h1
+    of three samples simulates to the bytes of the shipped 101-sample one."""
+    three = tmp_path / "three.cfg"
+    three.write_text((CONFIGS / "nonlocal-interval.cfg").read_text()
+                     .replace("h1: 1.0", "h1: [1.0, 1.0, 1.0]", 1))
+    for cfg, out in ((CONFIGS / "nonlocal-interval.cfg", "shipped"), (three, "three")):
+        assert run_cli("simulate", cfg, "--output-dir", tmp_path / out, "--quiet") == 0
+    for name in ("solution.csv", "diagnostics.csv"):
+        assert (tmp_path / "three" / name).read_bytes() == (
+            tmp_path / "shipped" / name).read_bytes()
+
+
 # Interval whose Y0 and Y1 nearly coincide: the direct sum fails.
 SPACES_Y0_NEAR_Y1 = (
     "graph:\n  vertices: [left, right]\n  internal_edges: [[left, right]]\n"
@@ -429,6 +442,8 @@ ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kin
      "bc.y0_basis"),
     ((CONFIGS / "nonlocal-interval.cfg").read_text(), "h0: 1.0", "h0: [1]", "bc.h0"),
     ((CONFIGS / "nonlocal-interval.cfg").read_text(), "h1: 1.0", "h1: []", "bc.h1"),
+    ((CONFIGS / "nonlocal-interval.cfg").read_text(), "equation: heat", "equation: wave",
+     "sim.equation"),
 ], ids=["coefficients-list", "internal-edges-int", "external-edges-int", "initial-list",
         "initial-entry-int", "custom-samples-int", "custom-samples-short", "sine-mode-0",
         "gaussian-width-0", "length-negative", "length-0", "k0-fraction", "mode-fraction",
@@ -436,7 +451,7 @@ ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kin
         "internal-vertex-bool", "external-vertex-bool", "epsilon-nan", "amplitude-nan",
         "coefficient-nan", "matrix-entry-nan", "matrix-entry-beyond-float",
         "y1-basis-scalar", "y1-basis-map", "y0-basis-scalar", "y0-basis-map",
-        "h0-one-sample", "h1-no-samples"])
+        "h0-one-sample", "h1-no-samples", "wave-nonlocal"])
 def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, path):
     """Bad input exits 1 with `error: <path>: ...`, never a traceback or a silent run."""
     assert old in base

@@ -27,49 +27,6 @@ def test_isolated_vertex_warns():
         ge.MetricGraph(3, [(0, 1)], [])
 
 
-def test_interval_incidence(interval):
-    inc = ge.incidence_matrices(interval)
-    assert np.array_equal(inc.phi_i_minus, [[1.0], [0.0]])
-    assert np.array_equal(inc.phi_i_plus, [[0.0], [1.0]])
-
-
-def test_star_incidence(star):
-    inc = ge.incidence_matrices(star)
-    assert np.array_equal(inc.phi_e_minus, [[1.0], [0.0], [0.0]])
-    assert np.array_equal(inc.phi_i_minus, [[1, 1], [0, 0], [0, 0]])
-    assert np.array_equal(inc.phi_i_plus, [[0, 0], [1, 0], [0, 1]])
-
-
-def test_loop_incidence(loop):
-    inc = ge.incidence_matrices(loop)
-    assert np.array_equal(inc.phi_i_minus, [[1.0]])
-    assert np.array_equal(inc.phi_i_plus, [[1.0]])
-
-
-def test_star_degrees(star):
-    deg = ge.degree_matrices(star)
-    assert np.array_equal(np.diag(deg.d_total), [3, 1, 1])
-
-
-def test_interval_degrees(interval):
-    assert np.array_equal(np.diag(ge.degree_matrices(interval).d_total), [1, 1])
-
-
-def test_loop_degrees(loop):
-    assert np.array_equal(ge.degree_matrices(loop).d_total, [[2.0]])
-
-
-def test_degrees_are_incidence_row_sums():
-    rng = np.random.default_rng(7)
-    from conftest import random_graph
-    for _ in range(25):
-        g = random_graph(rng)
-        inc = ge.incidence_matrices(g)
-        stacked = np.hstack([inc.phi_e_minus, inc.phi_i_minus, inc.phi_i_plus])
-        assert np.array_equal(np.diag(ge.degree_matrices(g).d_total),
-                              stacked.sum(axis=1))
-
-
 def test_continuity_space_interval(interval):
     basis = ge.continuity_space(interval)
     assert basis.shape == (2, 2)
@@ -98,7 +55,6 @@ def test_continuity_rank_equals_nonisolated_vertices():
         g = random_graph(rng)
         touched = len({v for e in g.internal_edges for v in e} | set(g.external_edges))
         assert ge.continuity_space(g).shape[1] == touched
-        assert np.linalg.matrix_rank(ge.trace_stack(g)) == touched
 
 
 def test_incidence_round_trip():
@@ -106,14 +62,10 @@ def test_incidence_round_trip():
     from conftest import random_graph
     for _ in range(25):
         g = random_graph(rng)
-        inc = ge.incidence_matrices(g)
-        internal = [(int(np.argmax(inc.phi_i_minus[:, j])),
-                     int(np.argmax(inc.phi_i_plus[:, j]))) for j in range(g.m)]
-        external = [int(np.argmax(inc.phi_e_minus[:, k])) for k in range(g.l)]
-        assert tuple(internal) == g.internal_edges
-        assert tuple(external) == g.external_edges
-        assert np.array_equal(ge.trace_stack(g),
-                              np.vstack([inc.phi_e_minus.T, inc.phi_i_minus.T, inc.phi_i_plus.T]))
+        ends = ge.endpoint_vertices(g)
+        internal = tuple(zip(ends[g.l:g.l + g.m].tolist(), ends[g.l + g.m:].tolist()))
+        assert internal == g.internal_edges
+        assert tuple(ends[:g.l].tolist()) == g.external_edges
         untouched = sorted(set(range(g.n)) - {v for e in g.internal_edges for v in e}
                            - set(g.external_edges))
         with warnings.catch_warnings(record=True) as caught:

@@ -33,6 +33,19 @@ def test_theta_range_validation(interval):
                      sine_initial(), dt=1e-3, theta=0.2)
 
 
+@pytest.mark.parametrize("n_per_edge", [float("inf"), float("nan"), 5.5, 3, -4, 0])
+def test_n_per_edge_must_be_a_finite_integer_of_at_least_four(interval, n_per_edge):
+    coeffs = ge.unit_coefficients(1)
+    with pytest.raises(ge.DomainError) as info:
+        ge.heat_init(interval, coeffs, dirichlet_spaces(interval), sine_initial(), dt=1e-3,
+                     n_per_edge=n_per_edge)
+    assert str(info.value) == f"n_per_edge {n_per_edge!r} is not a finite integer >= 4"
+    # 4.0 stays valid: a whole number given as a float
+    state = ge.heat_init(interval, coeffs, dirichlet_spaces(interval), sine_initial(),
+                         dt=1e-3, n_per_edge=4.0)
+    assert state.grids[0].size == 5
+
+
 def test_rejects_ill_posed_bc(interval):
     bad = ge.matrices_bc(l=0, m=1, k0=1, k1=1, v0i=[[1]], u1i=[[1]])
     coeffs = ge.unit_coefficients(1)
@@ -152,6 +165,22 @@ def test_nonlocal_interval_bc_residual(interval):
     s = st.internal[0].s
     for endpoint, h in ((u[0], 0.8), (u[-1], 0.8)):
         quad = h * np.trapezoid(u, s)
+        assert abs(endpoint - quad) <= 1e-12 * max(1.0, np.max(np.abs(u)))
+
+
+def test_nonlocal_kernels_of_different_lengths_hold_at_both_ends(interval):
+    """h0 has five samples and h1 three; each is read on its own grid."""
+    kernels = ge.from_nonlocal_interval(np.full(5, 0.8), [0.2, 0.8, 0.2])
+    init = ge.InitialData((ge.EdgeInitial(ge.gaussian(0.5, 0.1)),), ())
+    st = ge.heat_init(interval, ge.unit_coefficients(1), kernels, init,
+                      dt=1e-3, n_per_edge=100)
+    for _ in range(20):
+        ge.heat_step(st)
+    u = st.internal[0].u
+    s = st.internal[0].s
+    hat = 0.2 + 1.2 * np.minimum(s, 1.0 - s)
+    for endpoint, h in ((u[0], 0.8), (u[-1], hat)):
+        quad = np.trapezoid(h * u, s)
         assert abs(endpoint - quad) <= 1e-12 * max(1.0, np.max(np.abs(u)))
 
 
