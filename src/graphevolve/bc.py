@@ -273,6 +273,14 @@ def invertible(sigma_min: float, sigma_max: float, dim: int) -> bool:
     return sigma_min > sigma_tol(dim) * sigma_max
 
 
+def is_real(x) -> bool:
+    """The real-arithmetic rule: no entry of `x` (an array, or the stored values
+    of a sparse array) has a nonzero imaginary part.  An operator this holds for
+    maps real data to real data, so computing it in float64 drops only zeros."""
+    values = x.data if scipy.sparse.issparse(x) else np.asarray(x)
+    return not (np.iscomplexobj(values) and values.imag.any())
+
+
 def block_sigmas(stacks) -> tuple[float, float]:
     """Smallest and largest singular value over stacked square blocks,
     each row scaled to unit inf-norm first."""

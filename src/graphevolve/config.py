@@ -22,8 +22,17 @@ from . import initial as initial_mod
 from .errors import NonPositiveCoefficientError, ParseError, ValidationError
 from .graph import MetricGraph
 
+
 # libyaml's parser when PyYAML was built with it: the same documents, ~5x faster
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, plus YAML 1.2's floats with an exponent but no dot or
+    no exponent sign, as in 1e-3, 1.0e5 and -2e3: YAML 1.1 reads them as strings."""
+
+
+# tried after every YAML 1.1 resolver, so only scalars none of them matched reach it
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+0123456789."))
 
 BC_KINDS = ("standard", "delta", "nonlocal_matrices", "matrix_mixed",
             "generalized_node", "boundary_matrices", "boundary_spaces",
@@ -406,7 +415,7 @@ def parse_config(text: str | bytes, name: str | None = None) -> RunConfig:
     `name`, the file the text was read from, names it in YAML's error messages.
     """
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:  # PyYAML's message spans lines; an error is one
         if isinstance(exc, yaml.reader.ReaderError):  # position: offset of the bad character
             before = text[:exc.position]

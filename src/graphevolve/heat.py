@@ -22,6 +22,11 @@ The implicit matrix ``a`` and explicit matrix ``b`` are assembled as
 as CSC and CSR.  ``a`` is factored once with SuperLU, so a step costs one
 sparse mat-vec and one pair of triangular solves.  The singularity gate is a
 1-norm condition estimate over the LU solves (Higham & Tisseur 2000).
+
+The initial data are real, so when no triplet of ``a`` or ``b`` has a nonzero
+imaginary part (``bc.is_real``) the solution stays real: ``a``, ``b``, the
+factor and the field ``u`` are then float64.  Complex conditions run in
+complex128.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .bc import (BoundaryMatricesBC, BoundarySpacesBC, invertible, kernel_values,
+from .bc import (BoundaryMatricesBC, BoundarySpacesBC, invertible, is_real, kernel_values,
                  to_boundary_matrices, trace_rows)
 from .coeffs import EdgeCoefficients
 from .errors import DimensionMismatchError, DomainError, SingularSystemError
@@ -128,8 +133,9 @@ class _Triplets:
         self.cols.append(col.ravel())
         self.vals.append(val.ravel())
 
-    def to_coo(self, n: int) -> scipy.sparse.coo_array:
-        vals = np.concatenate(self.vals).astype(complex)
+    def to_coo(self, n: int, dtype) -> scipy.sparse.coo_array:
+        vals = np.concatenate(self.vals)
+        vals = vals.real if dtype == float else vals.astype(complex)
         return scipy.sparse.coo_array(
             (vals, (np.concatenate(self.rows), np.concatenate(self.cols))), shape=(n, n))
 
@@ -208,7 +214,7 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
         s = np.linspace(0.0, L, max(4, round(n_per_edge * L)) + 1)
         grids.append(s)
         lams.append(np.asarray(profile(s), dtype=float))
-        values.append(edge_init.displacement.value(s).astype(complex))
+        values.append(edge_init.displacement.value(s))
     sizes = np.array([s.size for s in grids])
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     spacing = np.array([s[1] - s[0] for s in grids])
@@ -251,9 +257,11 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     if row != total:
         raise AssertionError(f"assembled {row} rows for {total} unknowns")
 
-    factor, cond = factorize(a.to_coo(total).tocsc())
+    dtype = float if all(map(is_real, a.vals + b.vals)) else complex
+    factor, cond = factorize(a.to_coo(total, dtype).tocsc())
     return HeatState(g, 0.0, dt, theta, tuple(grids), spacing, lam, offsets,
-                     np.concatenate(values), factor, b.to_coo(total).tocsr(), cond, mode)
+                     np.concatenate(values).astype(dtype), factor,
+                     b.to_coo(total, dtype).tocsr(), cond, mode)
 
 
 def _assemble_nonlocal_rows(a, row, s, off, kernels):

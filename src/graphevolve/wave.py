@@ -8,8 +8,8 @@ characteristic primitives that also shift exactly in the interior; only their
 inflow endpoints are integrated in time (trapezoid, q = 2 dF/dt and
 p = 2 dG/dt at the respective inflow ends).
 
-Storage: p, q, F and G are each one complex array over all edges, every edge
-a ring of its grid nodes, and the rings packed by size: rings of one size sit
+Storage: p, q, F and G are each one array over all edges, every edge a ring
+of its grid nodes, and the rings packed by size: rings of one size sit
 side by side, in ``edges()`` order among themselves.  The step counter k is the
 ring head of every edge: node i of the left-moving p and G sits at ring slot
 (i + k) mod size, node i of the right-moving q and F at (i - k) mod size.  A
@@ -30,6 +30,10 @@ would round differently for each K.  The time loop asks
 for a whole record interval at once.  A condition with zeroth-order terms
 (a value map) reads u = F + G at the vertices, which the step before
 writes, and advances one step per block.
+
+The initial data are real, so the fields are float64 when the vertex map is
+real (``VertexUpdate.dtype``: every scattering block and the value map), and
+complex128 otherwise.
 
 An external edge is the half-line [0, inf) cut at L, exactly for any T: each
 step writes p = 0 at the cut and holds G there, which is the inflow when the
@@ -123,7 +127,7 @@ class WaveEdgeFields:
 
 @dataclass
 class WaveState:
-    """Wave fields of all edges, packed by ring size.
+    """Wave fields of all edges, packed by ring size, in ``update.dtype``.
 
     Edge e owns slots ``start[e] .. start[e] + size[e] - 1`` of ``p``, ``q``,
     ``fwd`` and ``bwd``.  The rings sit in ascending size, rings of one size
@@ -189,11 +193,11 @@ def _snap(mu: float, length: float, dt: float, snap_tol: float) -> tuple[int, fl
 
 
 def _init_fields(s: np.ndarray, mu: float, edge_init) -> tuple[np.ndarray, ...]:
-    """Riemann invariants p, q and primitives F, G on one grid."""
-    u0 = edge_init.displacement.value(s).astype(complex)
-    du0 = edge_init.displacement.derivative(s).astype(complex)
-    u1 = edge_init.velocity.value(s).astype(complex)
-    iu1 = edge_init.velocity.antiderivative(s).astype(complex)
+    """Riemann invariants p, q and primitives F, G on one grid, in float64."""
+    u0 = edge_init.displacement.value(s)
+    du0 = edge_init.displacement.derivative(s)
+    u1 = edge_init.velocity.value(s)
+    iu1 = edge_init.velocity.antiderivative(s)
     p = u1 + mu * du0
     q = u1 - mu * du0
     fwd = 0.5 * (u0 - iu1 / mu)
@@ -241,7 +245,7 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     order = np.argsort(size, kind="stable")  # the rings, packed by size
     start = np.empty_like(size)
     start[order] = np.concatenate(([0], np.cumsum(size[order])[:-1]))
-    packed = [np.empty(int(size.sum()), dtype=complex) for _ in range(4)]  # p, q, F, G
+    packed = [np.empty(int(size.sum())) for _ in range(4)]  # p, q, F, G
     grids = []
     for e, (L, edge_init, (n, mu_t)) in enumerate(zip(lengths, init.external + init.internal,
                                                       snaps)):
@@ -270,15 +274,16 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
         moved = ", ".join(f"edge {e}: {c:.6g} -> {mu[e]:.6g}"
                           for e, c in enumerate(given) if c != mu[e])
         raise SingularUpdateError(f"{exc} at the snapped wave speeds ({moved})") from exc
+    packed = [x.astype(update.dtype, copy=False) for x in packed]
     spacing = np.array([s[1] - s[0] for s in grids])
     return WaveState(g, 0.0, dt, update, tuple(grids), spacing, mu, start, size, order,
                      *packed)
 
 
 # A block gathers the incoming values of its K steps as one (K, l + 2m) array.
-# Capping K (l + 2m) at this many entries keeps that complex buffer, and each
-# of the others a block fills, near 256 KiB, so the buffers a state keeps add
-# little to the peak memory of a run.
+# Capping K (l + 2m) at this many entries keeps that buffer, and each of the
+# others a block fills, near 256 KiB complex or 128 KiB real, so the buffers a
+# state keeps add little to the peak memory of a run.
 _BLOCK_ENTRIES = 16_384
 
 
@@ -310,8 +315,8 @@ def wave_step(state: WaveState, steps: int = 1) -> None:
     # of the next block.
     if state.blocks is None or state.blocks[1].shape != (block, n):
         state.blocks = (np.empty((2, block + 2, l + m), dtype=np.int64),
-                        np.empty((block, n), dtype=complex),
-                        np.zeros((2, 2, block + 1, l + m), dtype=complex))
+                        np.empty((block, n), dtype=p.dtype),
+                        np.zeros((2, 2, block + 1, l + m), dtype=p.dtype))
     (left, right), incoming, (sent_rows, inflow_rows) = state.blocks
     ramp = np.arange(block + 2)[:, None]
     k0 = state.step_count

@@ -33,7 +33,8 @@ import numpy as np
 import scipy.sparse
 
 from .bc import (BoundaryMatricesBC, BoundarySpacesBC, block_matrix, block_sigmas,
-                 component_labels, invertible, joint_sigmas, kernel_values, sigma_tol)
+                 component_labels, invertible, is_real, joint_sigmas, kernel_values,
+                 sigma_tol)
 from .coeffs import EdgeCoefficients
 from .errors import (
     BadT0Error,
@@ -64,18 +65,20 @@ class VertexUpdate:
 
     S is one d x d block per condition block.  ``stacks`` holds them per size d as
     (slots, blocks): the trace slots (count, d) and the blocks (count, d, d),
-    in float64 when they are real.  ``order`` lists the slots, stack after
-    stack, and ``inverse`` undoes it.  ``solve`` takes the incoming values into
-    that order once, runs one matmul per stack whose core is one
+    in float64 when they are real (``bc.is_real``).  ``order`` lists the slots,
+    stack after stack, and ``inverse`` undoes it.  ``solve`` takes the incoming
+    values into that order once, runs one matmul per stack whose core is one
     (d x d) @ (d x r) product per step and vertex, and takes the result back
-    once: a real stack multiplies the float64 view of the complex values
-    (r = 2), a complex stack the values (r = 1).  A step makes the same BLAS
-    calls however many steps its block holds, so a block of K steps gives the
-    bytes of K single steps.  ``scattering`` (S) and ``m_out``, the matrix the
-    update inverts, are CSR assembled on first read.  ``value_map`` (CSR) is
-    None without zeroth-order terms, and then ``solve`` does not read the
-    value trace.  Nothing here changes after construction, so a deep copy
-    shares it.
+    once: a real stack multiplies real values (r = 1) or the float64 view of
+    complex ones (r = 2), a complex stack complex values (r = 1).  ``dtype``
+    is float64 when every stack and the value map are real, and then real
+    values stay real; otherwise ``solve`` computes in complex128.  A step
+    makes the same BLAS calls however many steps its block holds, so a block
+    of K steps gives the bytes of K single steps.  ``scattering`` (S) and
+    ``m_out``, the matrix the update inverts, are CSR assembled on first read.
+    ``value_map`` (CSR, float64 when real) is None without zeroth-order terms,
+    and then ``solve`` does not read the value trace.  Nothing here changes
+    after construction, so a deep copy shares it.
     """
 
     stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -93,13 +96,22 @@ class VertexUpdate:
     def m_out(self) -> scipy.sparse.csr_array:
         return block_matrix(self.m_out_blocks, (self.order.size,) * 2)
 
+    @cached_property
+    def dtype(self) -> np.dtype:
+        """float64 when every stack and the value map are real, else complex128."""
+        dtypes = [s.dtype for _, s in self.stacks]
+        if self.value_map is not None:
+            dtypes.append(self.value_map.dtype)
+        return np.result_type(*dtypes)
+
     def solve(self, incoming: np.ndarray, value_trace: np.ndarray | None) -> np.ndarray:
         """Outgoing values of one step, or one row per step for a (K, n) block."""
-        x = np.atleast_2d(incoming).astype(complex, copy=False).take(self.order, axis=1)
+        x = np.atleast_2d(incoming)
+        x = x.astype(np.result_type(x, self.dtype), copy=False).take(self.order, axis=1)
         out = np.empty_like(x)
-        k = x.shape[0]
-        views = {np.dtype(float): (x.view(float).reshape(k, -1, 2),
-                                   out.view(float).reshape(k, -1, 2)),
+        k, n = x.shape
+        views = {np.dtype(float): (x.view(float).reshape(k, n, -1),
+                                   out.view(float).reshape(k, n, -1)),
                  np.dtype(complex): (x[:, :, None], out[:, :, None])}
         start = 0
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
@@ -243,11 +255,11 @@ def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None
     signed by D (+1 on value rows, -1 on flux rows) scatters by
     S_b = -(D B)^-1 B, and the blocks of one shape are solved in one stacked
     ``np.linalg.solve``.  The S blocks are kept stacked by size d, real when
-    their imaginary parts are all zero, for ``VertexUpdate.solve``; no sparse
-    matrix is assembled for S or m_out until one is read.  Zeroth-order rows
-    add the value map
-    -m_out^-1 @ u_rhs, whose blocks are -2 (D B)^-1; it is built only when
-    the U rows have nonzeros.  Raises SingularUpdateError exactly when the
+    their imaginary parts are all zero (``bc.is_real``), for
+    ``VertexUpdate.solve``; no sparse matrix is assembled for S or m_out until
+    one is read.  Zeroth-order rows add the value map -m_out^-1 @ u_rhs,
+    whose blocks are -2 (D B)^-1, real by the same rule; it is built only
+    when the U rows have nonzeros.  Raises SingularUpdateError exactly when the
     criterion fails: det(m_out) = (1/2)^(l+2m) * (-1)^k1 * det(criterion matrix).
     """
     if criterion is None:
@@ -272,10 +284,12 @@ def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None
         u = u.tocoo()
         u_rhs = scipy.sparse.csr_array((u.data, (k0 + u.row, u.col)), shape=(dim, dim))
         value_map = block_matrix(minus_inverse, (dim, dim)) @ u_rhs
+        if is_real(value_map):
+            value_map = value_map.real
     stacks = []
     for size in sorted(by_size):
         cols, blocks = (np.concatenate(x) for x in zip(*by_size[size]))
-        stacks.append((cols, np.ascontiguousarray(blocks if blocks.imag.any() else blocks.real)))
+        stacks.append((cols, np.ascontiguousarray(blocks.real if is_real(blocks) else blocks)))
     order = np.concatenate([cols.ravel() for cols, _ in stacks])
     return VertexUpdate(tuple(stacks), order, np.argsort(order), value_map, tuple(m_out))
 

@@ -1,9 +1,12 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphevolve as ge
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -128,3 +131,38 @@ def local_condition(rng, g, coeffs, builder):
     return ge.from_nonlocal_matrices(g, coeffs, rng.uniform(-1.0, 1.0, (g.l, g.l)),
                                      rng.uniform(-1.0, 1.0, (g.m, g.m)),
                                      rng.uniform(-1.0, 1.0, (g.m, g.m)))
+
+
+def nudged(x):
+    """`x` in complex128 with its first entry given a 1e-30j imaginary part: a
+    condition built from it runs in complex arithmetic, and no real part of its
+    operators moves measurably."""
+    x = np.array(x, dtype=complex)
+    x.flat[0] += 1e-30j
+    return x
+
+
+def assert_runs_agree(want, got, rel=1e-12):
+    """Two (state, diagnostics, snapshots) results of ``heat_run`` or ``wave_run``
+    agree: every recorded field and the energy and mass, each to `rel` of its
+    largest modulus."""
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.abs(b - a).max() <= rel * np.abs(a).max()
+
+    for snap_want, snap_got in zip(want[2], got[2], strict=True):
+        for fields_want, fields_got in zip(snap_want[1:], snap_got[1:]):
+            close(np.concatenate(fields_want), np.concatenate(fields_got))
+    close(want[1].energy, got[1].energy)
+    close(want[1].mass, got[1].mass)
+
+
+def complex_delta_star(equation):
+    """kirchhoff-star-heat.cfg with the δ-coupling alpha = 0.5 + 1j at its centre,
+    simulating `equation` ("heat" or "wave")."""
+    text = (CONFIGS / "kirchhoff-star-heat.cfg").read_text()
+    text = text.replace("bc:\n  kind: standard",
+                        'bc:\n  kind: delta\n  alpha: ["0.5+1j", 0, 0, 0]')
+    if equation == "wave":
+        text = text.replace("equation: heat", "equation: wave").replace("dt: 0.001", "dt: 0.002")
+    return text

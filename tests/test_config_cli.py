@@ -42,6 +42,20 @@ def test_parse_complex_entries():
     assert cfg.bc.v_rows[0, 0] == 1 + 2j  # v0e fills trace column 0
 
 
+def test_numbers_with_an_exponent_are_floats():
+    """YAML 1.2 floats that YAML 1.1 reads as strings: no dot, or no exponent sign."""
+    text = (CONFIGS / "kirchhoff-star-heat.cfg").read_text()
+    for old, new in (("T: 1.0", "T: 1.0e5"), ("dt: 0.001", "dt: 1e-3"),
+                     ("value: 2.0", "value: 2e0"),
+                     ("width: 0.1, amplitude: 0.7", "width: 0.1, amplitude: -2e3")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = parse_config(text)
+    assert (cfg.sim.T, cfg.sim.dt) == (1.0e5, 1e-3)
+    assert cfg.coeffs.internal[1](0.0) == 2.0
+    assert cfg.initial.internal[1].displacement.amplitude == -2e3
+
+
 def test_unknown_bc_kind_rejected():
     text = (CONFIGS / "star3.cfg").read_text().replace(
         "kind: boundary_matrices", "kind: mystery")

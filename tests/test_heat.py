@@ -8,8 +8,9 @@ import pytest
 import scipy.sparse
 
 import graphevolve as ge
-from conftest import (BUILDERS, block_indices, dirichlet_interval_bc, local_condition,
-                      random_coeffs, random_graph, with_block)
+from conftest import (BUILDERS, assert_runs_agree, block_indices, complex_delta_star,
+                      dirichlet_interval_bc, local_condition, nudged, random_coeffs,
+                      random_graph, star3_bc, with_block)
 from graphevolve import heat
 from graphevolve.bc import BlockGroup
 from graphevolve.config import parse_config
@@ -675,7 +676,7 @@ def test_interior_rows_match_per_edge_reference(monkeypatch, theta):
             row += 1
     total = st.u.size
     for got, want in ((captured[0].tocsr(), a), (st.explicit, b)):
-        want = want.to_coo(total).tocsr()
+        want = want.to_coo(total, st.u.dtype).tocsr()
         assert np.array_equal(got[:row].toarray(), want[:row].toarray())
 
 
@@ -830,3 +831,69 @@ def test_diagnostics_match_per_edge_loop(seed):
             assert abs(got - want) <= 1e-12 * abs(want)
         ge.heat_step(st)
     assert per_edge_energy(st) > 0.0
+
+
+def heat_path_run(path, vary):
+    """A 40-step heat run of one assembly path, its condition's entries passed
+    through `vary`: the state, diagnostics and snapshots."""
+    if path == "nonlocal":
+        g, coeffs = ge.MetricGraph(2, [(0, 1)]), ge.unit_coefficients(1)
+        bc = ge.from_nonlocal_interval(vary(np.full(101, 0.8)), np.full(101, 0.8))
+        init = ge.InitialData((ge.EdgeInitial(ge.sine_mode(1)),), ())
+    else:  # the star with one external edge: δ-coupled continuity rows, or star3's matrices
+        g = ge.MetricGraph(3, [(0, 1), (0, 2)], [0])
+        coeffs = ge.EdgeCoefficients((ge.constant(1.0), ge.constant(2.0)), (ge.constant(0.5),))
+        bc = (ge.from_delta(g, coeffs, ge.DeltaCoupling(vary([0.7, -0.3, 0.4])))
+              if path == "continuity" else star3_bc(alpha=vary(1.0)))
+        init = ge.InitialData((ge.EdgeInitial(ge.gaussian(0.4, 0.1)),
+                               ge.EdgeInitial(ge.gaussian(0.6, 0.1, amplitude=-0.7))),
+                              (ge.EdgeInitial(ge.gaussian(0.3, 0.1, length=1.5)),))
+    st = ge.heat_init(g, coeffs, bc, init, dt=1e-3, n_per_edge=40, external_lengths=(1.5,) * g.l)
+    assert st.path == path
+    return ge.heat_run(st, 0.04, record_stride=10)
+
+
+@pytest.mark.parametrize("path", ["continuity", "matrices", "nonlocal"])
+def test_real_and_complex_arithmetic_agree(path):
+    """A real condition steps in float64; the same condition with a 1e-30j
+    imaginary part steps in complex128, and its fields and diagnostics agree."""
+    real, cplx = heat_path_run(path, np.asarray), heat_path_run(path, nudged)
+    assert real[0].u.dtype == real[0].explicit.dtype == np.float64
+    assert cplx[0].u.dtype == cplx[0].explicit.dtype == np.complex128
+    assert real[0].cond_estimate == pytest.approx(cplx[0].cond_estimate, rel=1e-12)
+    assert_runs_agree(real, cplx)
+
+
+@pytest.mark.parametrize("text", [
+    (CONFIGS / "kirchhoff-star-heat.cfg").read_text(),
+    (CONFIGS / "nonlocal-interval.cfg").read_text(),
+    complex_delta_star("heat"),
+], ids=["kirchhoff-star-heat", "nonlocal-interval", "complex-delta"])
+def test_heat_steps_in_float64_exactly_when_the_condition_is_real(text):
+    cfg = parse_config(text)
+    st = ge.heat_init(cfg.graph, cfg.coeffs, cfg.bc, cfg.initial, cfg.sim.dt,
+                      theta=cfg.sim.theta, n_per_edge=cfg.sim.n_per_edge,
+                      external_lengths=cfg.external_lengths)
+    ge.heat_step(st, 3)
+    want = np.complex128 if cfg.bc_kind == "delta" else np.float64
+    assert st.u.dtype == st.explicit.dtype == want
+
+
+def test_the_gate_decides_alike_in_real_and_complex_arithmetic(monkeypatch):
+    """onenormest runs another code path for a real operator: the same real
+    system gets the same verdict and condition estimate either way."""
+    captured = []
+    monkeypatch.setattr(heat, "factorize", lambda a: (captured.append(a), factorize(a))[1])
+    cfg = parse_config((CONFIGS / "kirchhoff-star-heat.cfg").read_text())
+    ge.heat_init(cfg.graph, cfg.coeffs, cfg.bc, cfg.initial, cfg.sim.dt,
+                 n_per_edge=cfg.sim.n_per_edge)
+    a = captured[0]
+    assert a.dtype == np.float64
+    _, cond = factorize(a)
+    _, cond_complex = factorize(a.astype(complex))
+    assert cond_complex == pytest.approx(cond, rel=1e-12)
+    diag = np.ones(50)
+    diag[-1] = 1e-11  # cond_1 = 1e11 > 1e12 / 50
+    for dtype in (float, complex):
+        with pytest.raises(ge.SingularSystemError, match="cond_1"):
+            factorize(scipy.sparse.diags_array(diag.astype(dtype), format="csc"))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import graphevolve as ge
-from conftest import (BUILDERS, dirichlet_interval_bc, local_condition, periodic_loop_bc,
+from conftest import (BUILDERS, CONFIGS, assert_runs_agree, complex_delta_star,
+                      dirichlet_interval_bc, local_condition, nudged, periodic_loop_bc,
                       random_graph, random_mesh, star3_bc)
+from graphevolve.config import parse_config
 from graphevolve.wave import _BLOCK_ENTRIES, _snapshot, energy, mass
 
 
@@ -660,3 +662,44 @@ def test_a_block_leaves_a_deep_copy_unchanged(star, n):
     ge.wave_step(st, n)
     assert (ring_bytes(twin), snapshot_bytes(twin)) == before and twin.step_count == 7
     assert ring_bytes(st) != before[0]
+
+
+@pytest.mark.parametrize("condition", ["star3", "nonlocal_matrices", "delta"])
+def test_real_and_complex_arithmetic_agree(star, condition):
+    """A real condition steps in float64; the same condition with a 1e-30j
+    imaginary part steps in complex128, and its fields and diagnostics agree.
+    star3's imaginary part is in a scattering block, the others' in the value map."""
+    coeffs = ge.EdgeCoefficients((ge.constant(1.0), ge.constant(4.0)), (ge.constant(1.0),))
+
+    def run(vary):
+        if condition == "star3":
+            bc = star3_bc(alpha=vary(1.0))
+        elif condition == "delta":
+            bc = ge.from_delta(star, coeffs, ge.DeltaCoupling(vary([0.7, -0.3, 0.4])))
+        else:
+            bc = ge.from_nonlocal_matrices(star, coeffs, vary([[0.3]]),
+                                           [[0.2, -0.1], [0.1, 0.4]], [[-0.2, 0.1], [0.3, 0.1]])
+        return ge.wave_run(block_star(star, bc), 2.0, record_stride=10)
+
+    real, cplx = run(np.asarray), run(nudged)
+    assert (cplx[0].update.value_map is not None) == (condition != "star3")
+    for (st, _, _), want in ((real, np.float64), (cplx, np.complex128)):
+        for field in (st.p, st.q, st.fwd, st.bwd, *st.blocks[1:]):
+            assert field.dtype == want
+    assert_runs_agree(real, cplx)
+
+
+@pytest.mark.parametrize("text", [
+    (CONFIGS / "dirichlet-standing-wave.cfg").read_text(),
+    (CONFIGS / "zero-initial.cfg").read_text(),
+    complex_delta_star("wave"),
+], ids=["dirichlet-standing-wave", "zero-initial", "complex-delta"])
+def test_wave_steps_in_float64_exactly_when_the_condition_is_real(text):
+    cfg = parse_config(text)
+    st = ge.wave_init(cfg.graph, cfg.coeffs, cfg.bc, cfg.initial, cfg.sim.dt, cfg.sim.T,
+                      snap_tol=cfg.sim.snap_tol, external_lengths=cfg.external_lengths)
+    ge.wave_step(st, 3)
+    want = np.complex128 if cfg.bc_kind == "delta" else np.float64
+    assert st.update.dtype == want
+    for field in (st.p, st.q, st.fwd, st.bwd, *st.blocks[1:]):
+        assert field.dtype == want
