@@ -4,6 +4,13 @@ A config is a YAML map with sections ``graph``, ``coefficients``, ``bc``,
 and optionally ``sim`` and ``initial``.  Vertices are referenced by name;
 matrix entries may be numbers or strings parseable by ``complex()``
 (e.g. ``"2+3j"``).  See the README for the full schema.
+
+The text is read by the YAML 1.2 core schema: a plain scalar is null, a
+bool (true/false in three cases), an int (decimal, ``0o`` or ``0x``), a
+float (``.inf`` and ``.nan`` included) or else a string, and a quoted or
+block scalar is a string.  The document is built in one pass over the
+parser's events, with no node graph; duplicate keys, ``<<`` merge keys,
+tags outside the core schema and a second document are refused.
 """
 
 from __future__ import annotations
@@ -23,16 +30,135 @@ from .errors import NonPositiveCoefficientError, ParseError, ValidationError
 from .graph import MetricGraph
 
 
-# libyaml's parser when PyYAML was built with it: the same documents, ~5x faster
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader, plus YAML 1.2's floats with an exponent but no dot or
-    no exponent sign, as in 1e-3, 1.0e5 and -2e3: YAML 1.1 reads them as strings."""
+_CORE = "tag:yaml.org,2002:"
+# YAML 1.2.2 §10.3.2; a plain scalar takes the first that matches all of it
+_CORE_SCALARS = {
+    "null": "null|Null|NULL|~|",
+    "bool": "true|True|TRUE|false|False|FALSE",
+    "int": "[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+",
+    "float": r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+             r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)",
+}
+_PLAIN = re.compile("|".join(f"(?P<{kind}>{form})" for kind, form in _CORE_SCALARS.items()))
+_TAGS = {_CORE + kind: kind for kind in _CORE_SCALARS}
+_VALUE = {
+    "null": lambda text: None,
+    "bool": lambda text: text[0] in "tT",
+    "int": lambda text: int(text, {"0o": 8, "0x": 16}.get(text[:2], 10)),
+    "float": lambda text: float(text.replace(".", "") if text[-1] in "fFnN" else text),
+}
+_COLLECTIONS = {yaml.MappingStartEvent: (dict, "map"), yaml.SequenceStartEvent: (list, "seq")}
+_OPEN = object()  # the anchor of a collection that is still being built
+_NO_KEY = object()  # an open map's key slot between entries
 
 
-# tried after every YAML 1.1 resolver, so only scalars none of them matched reach it
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+def _refusal(problem: str, mark) -> yaml.MarkedYAMLError:
+    return yaml.MarkedYAMLError(problem=problem, problem_mark=mark)
+
+
+def _scalar_value(event):
+    """A scalar event's value: plain and untagged by the core schema's forms,
+    quoted, block or ``!!str`` as text, a core scalar tag only on its form."""
+    text, tag = event.value, event.tag
+    if (tag is None and not event.implicit[0]) or tag == _CORE + "str":
+        return text
+    if tag is None:
+        # YAML 1.1 merged a plain << key and refused << elsewhere: refusing it
+        # everywhere lets no config change meaning silently
+        if text == "<<":
+            raise _refusal("found a merge key '<<', which YAML 1.2 does not have",
+                           event.start_mark)
+        match = _PLAIN.fullmatch(text)
+        if match is None:
+            return text
+        kind = match.lastgroup
+    elif tag in _TAGS:
+        kind = _TAGS[tag]
+        if not re.fullmatch(_CORE_SCALARS[kind], text):  # rare: re compiles on first use
+            raise _refusal(f"cannot read {text!r} as !!{kind}", event.start_mark)
+    else:
+        raise _refusal(f"found the tag {tag!r}, not a core tag of a scalar", event.start_mark)
+    try:
+        return _VALUE[kind](text)
+    except ValueError:  # a decimal int of more digits than Python converts
+        raise _refusal(f"cannot read an integer of {len(text)} digits",
+                       event.start_mark) from None
+
+
+def _build(next_event):
+    """The one document of an event stream, as dicts, lists and scalars.
+
+    One explicit stack holds the open collections, so no nesting depth can
+    exhaust Python's recursion limit."""
+    stack = []  # open collections: [container, anchor, start mark, key slot]
+    anchors = {}
+    document = root = None
+    while True:
+        event = next_event()
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            value, anchor, mark = _scalar_value(event), event.anchor, event.start_mark
+        elif kind is yaml.AliasEvent:
+            anchor, mark = None, event.start_mark
+            if event.anchor not in anchors:
+                raise _refusal(f"found undefined alias {event.anchor!r}", mark)
+            value = anchors[event.anchor]
+            if value is _OPEN:
+                raise _refusal(f"found an alias to {event.anchor!r}, which is still open",
+                               mark)
+        elif kind in _COLLECTIONS:
+            make, node = _COLLECTIONS[kind]
+            if event.tag not in (None, _CORE + node):
+                raise _refusal(f"found the tag {event.tag!r}, not a core tag of a {node}",
+                               event.start_mark)
+            stack.append([make(), event.anchor, event.start_mark, _NO_KEY])
+            if event.anchor is not None:
+                anchors[event.anchor] = _OPEN
+            continue
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            value, anchor, mark, _ = stack.pop()
+        elif kind is yaml.DocumentStartEvent:
+            if document is not None:
+                raise yaml.MarkedYAMLError("expected a single document in the stream",
+                                           document, "but found another document",
+                                           event.start_mark)
+            document = event.start_mark
+            continue
+        elif kind is yaml.StreamEndEvent:
+            return root
+        else:  # the stream's start and the document's end
+            continue
+        if anchor is not None:
+            anchors[anchor] = value
+        if not stack:
+            root = value
+            continue
+        top = stack[-1]
+        container = top[0]
+        if type(container) is list:
+            container.append(value)
+        elif top[3] is _NO_KEY:
+            try:
+                duplicate = value in container
+            except TypeError:
+                raise yaml.MarkedYAMLError("while constructing a mapping", top[2],
+                                           "found unhashable key", mark) from None
+            if duplicate:
+                raise _refusal(f"found duplicate key {value!r}", mark)
+            top[3] = value
+        else:
+            container[top[3]] = value
+            top[3] = _NO_KEY
+
+
+def _load(text: str | bytes):
+    # libyaml's parser when PyYAML was built with it: the same events, ~5x faster
+    parser = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
+    try:
+        return _build(parser.get_event)
+    finally:
+        parser.dispose()
+
 
 BC_KINDS = ("standard", "delta", "nonlocal_matrices", "matrix_mixed",
             "generalized_node", "boundary_matrices", "boundary_spaces",
@@ -415,7 +541,7 @@ def parse_config(text: str | bytes, name: str | None = None) -> RunConfig:
     `name`, the file the text was read from, names it in YAML's error messages.
     """
     try:
-        doc = yaml.load(text, Loader=_Loader)
+        doc = _load(text)
     except yaml.YAMLError as exc:  # PyYAML's message spans lines; an error is one
         if isinstance(exc, yaml.reader.ReaderError):  # position: offset of the bad character
             before = text[:exc.position]

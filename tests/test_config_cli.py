@@ -56,6 +56,21 @@ def test_numbers_with_an_exponent_are_floats():
     assert cfg.initial.internal[1].displacement.amplitude == -2e3
 
 
+def test_plain_scalars_follow_the_yaml_1_2_core_schema():
+    """Forms YAML 1.1 read otherwise: a leading zero is decimal, not octal;
+    `0o` and `0x` are octal and hex; `-.5` is a float; `on` is a name."""
+    heat = (CONFIGS / "kirchhoff-star-heat.cfg").read_text()
+    for form, value in (("010", 10), ("0o17", 15)):
+        cfg = parse_config(heat.replace("n_per_edge: 100", f"n_per_edge: {form}"))
+        assert cfg.sim.n_per_edge == value
+    cfg = parse_config(heat.replace("amplitude: 0.7", "amplitude: -.5"))
+    assert cfg.initial.internal[1].displacement.amplitude == -0.5
+    cfg = parse_config(heat.replace("center,", "on,").replace("center]", "on]"))
+    assert cfg.vertex_names == ("on", "leaf1", "leaf2", "leaf3")
+    cfg = parse_config((CONFIGS / "star3.cfg").read_text().replace("k1: 3", "k1: 0x3"))
+    assert cfg.bc.k1 == 3
+
+
 def test_unknown_bc_kind_rejected():
     text = (CONFIGS / "star3.cfg").read_text().replace(
         "kind: boundary_matrices", "kind: mystery")
@@ -414,6 +429,7 @@ DIRICHLET_MATRICES = (
     "  v0i: [[1], [0]]\n  v1i: [[0], [1]]\n")
 U0 = "{u0: {kind: sine_mode, mode: 1}}"
 STANDING_WAVE = (CONFIGS / "dirichlet-standing-wave.cfg").read_text()
+KIRCHHOFF_HEAT = (CONFIGS / "kirchhoff-star-heat.cfg").read_text()
 ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kind: standard\n"
 
 
@@ -458,6 +474,9 @@ ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kin
     ((CONFIGS / "nonlocal-interval.cfg").read_text(), "h1: 1.0", "h1: []", "bc.h1"),
     ((CONFIGS / "nonlocal-interval.cfg").read_text(), "equation: heat", "equation: wave",
      "sim.equation"),
+    (KIRCHHOFF_HEAT, "record_stride: 100", "record_stride: 1:40", "sim.record_stride"),
+    (KIRCHHOFF_HEAT, "record_stride: 100", "record_stride: 1_000", "sim.record_stride"),
+    (KIRCHHOFF_HEAT, "record_stride: 100", "record_stride: 0b11", "sim.record_stride"),
 ], ids=["coefficients-list", "internal-edges-int", "external-edges-int", "initial-list",
         "initial-entry-int", "custom-samples-int", "custom-samples-short", "sine-mode-0",
         "gaussian-width-0", "length-negative", "length-0", "k0-fraction", "mode-fraction",
@@ -465,7 +484,8 @@ ONE_VERTEX_LOOP = "graph:\n  vertices: 1\n  internal_edges: [[0, 0]]\nbc:\n  kin
         "internal-vertex-bool", "external-vertex-bool", "epsilon-nan", "amplitude-nan",
         "coefficient-nan", "matrix-entry-nan", "matrix-entry-beyond-float",
         "y1-basis-scalar", "y1-basis-map", "y0-basis-scalar", "y0-basis-map",
-        "h0-one-sample", "h1-no-samples", "wave-nonlocal"])
+        "h0-one-sample", "h1-no-samples", "wave-nonlocal", "sexagesimal", "underscore",
+        "binary"])
 def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, path):
     """Bad input exits 1 with `error: <path>: ...`, never a traceback or a silent run."""
     assert old in base
@@ -475,6 +495,47 @@ def test_bad_config_is_a_path_qualified_error(tmp_path, capsys, base, old, new, 
     assert run_cli(command, cfg, "--output-dir", tmp_path, "--quiet") == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("old, new, offending", [
+    ("theta: 0.5", "theta: *half", "*half"),
+    ("internal_edges: [[leaf1, center],", "internal_edges: &edges [*edges,", "*edges"),
+    ("  theta: 0.5\n", "  theta: 0.5\n  theta: 0.6\n", "theta: 0.6"),
+    ("bc:\n", "bc:\n  ? [kind]\n  : standard\n", "[kind]"),
+    ("coefficients:\n", "coefficients:\n  <<: {epsilon: 1.0e-8}\n", "<<"),
+    ("dt: 0.001", "dt: !decimal 0.001", "!decimal"),
+    ("bc:\n", "bc: !!set\n", "!!set"),
+    ("n_per_edge: 100", "n_per_edge: !!int 1e2", "!!int"),
+    ("record_stride: 100", "record_stride: 1" + "0" * 5000, "1" + "0" * 5000),
+    ("    - {u0: {kind: zero}}\n", "    - {u0: {kind: zero}}\n---\nsim: {}\n", "---"),
+], ids=["undefined-alias", "open-alias", "duplicate-key", "unhashable-key", "merge-key",
+        "local-tag", "set-tag", "int-tag-on-a-float", "int-beyond-python", "second-document"])
+def test_refused_yaml_names_its_line(tmp_path, capsys, old, new, offending):
+    """What YAML 1.2's core schema does not read, or would read as something
+    other than it says, is a ParseError at its line: one `error:` line, exit 1."""
+    assert KIRCHHOFF_HEAT.count(old) == 1
+    text = KIRCHHOFF_HEAT.replace(old, new)
+    line = text[:text.index(offending)].count("\n") + 1
+    with pytest.raises(ge.ParseError) as info:
+        parse_config(text)
+    assert info.value.line == line
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli("simulate", cfg, "--output-dir", tmp_path, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+    assert f'in "{cfg}", line {line},' in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+def test_deep_nesting_is_a_validation_error(tmp_path, capsys):
+    """A graph section nested 20,000 deep is refused by the schema, not by
+    Python's recursion limit."""
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("graph: " + "[" * 20000 + "]" * 20000 + "\nbc:\n  kind: standard\n")
+    assert run_cli("check", cfg, "--output-dir", tmp_path, "--quiet") == 1
+    assert capsys.readouterr().err == "error: graph: expected a map\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["deep.cfg"]
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
