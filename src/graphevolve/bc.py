@@ -184,8 +184,8 @@ def _numbered(shapes) -> list[np.ndarray]:
             for end, (count, width) in zip(ends, shapes)]
 
 
-def block_matrix(parts, shape: tuple[int, int]) -> scipy.sparse.csr_array:
-    """A sparse matrix from stacked blocks.
+def block_entries(parts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The (values, (rows, cols)) triplets of stacked blocks, every entry stored.
 
     Each part is (rows, cols, values) of shapes (count, r), (count, n) and
     (count, r, n): block b puts values[b, i, j] at (rows[b, i], cols[b, j]).
@@ -193,8 +193,12 @@ def block_matrix(parts, shape: tuple[int, int]) -> scipy.sparse.csr_array:
     r, c, v = zip(*((np.broadcast_to(rows[:, :, None], values.shape).ravel(),
                      np.broadcast_to(cols[:, None, :], values.shape).ravel(),
                      values.ravel()) for rows, cols, values in parts))
-    return scipy.sparse.csr_array((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                                  shape=shape)
+    return np.concatenate(v), (np.concatenate(r), np.concatenate(c))
+
+
+def block_matrix(parts, shape: tuple[int, int]) -> scipy.sparse.csr_array:
+    """A sparse matrix from stacked blocks (``block_entries``)."""
+    return scipy.sparse.csr_array(block_entries(parts), shape=shape)
 
 
 def _assembled(groups, value: bool, rows: bool, dim: int) -> scipy.sparse.csr_array:

@@ -15,8 +15,12 @@ ring head of every edge: node i of the left-moving p and G sits at ring slot
 (i + k) mod size, node i of the right-moving q and F at (i - k) mod size.  A
 step therefore moves no interior data; it gathers and scatters only the
 l + 2m vertex slots, vectorized over all edges, and costs O(vertices) rather
-than O(cells).  The vertex map is a product with the scattering blocks that
-``vertex_update_matrix`` builds once per run, stacked by block size.
+than O(cells).  The vertex map is the scattering map S that
+``vertex_update_matrix`` builds once per run, held as a sign per slot plus
+a low-rank term, S = sigma I + U V^T: a block of a value and b flux rows
+adds rank min(a, b), so a step costs O(sum d * r) over the vertex blocks,
+3d for a Kirchhoff vertex of degree d and a sign for a Dirichlet or
+Neumann leaf, where a dense block costs d^2.
 
 Speeds are finite: what a vertex sends out reaches the far end of its edge
 only after a whole transit of n_e = size - 1 steps.  So ``wave_step``
@@ -24,16 +28,17 @@ advances in blocks of K <= min(n_e) steps, whose incoming values are all in
 the rings when the block starts: one gather of a (K, l + 2m) block, one
 product, one scatter, and the trapezoid inflow of F and G added step after
 step, so a block writes the bytes K single steps write.  The product keeps
-that: it is one BLAS product per step and vertex, the same call for any K
-(``VertexUpdate.solve``), where one product over the K steps' columns
-would round differently for each K.  The time loop asks
+that: U and V^T are CSR, and scipy's CSR product sums each output entry
+over the same stored entries in the same order for any number of columns
+K (``VertexUpdate.solve``), where a BLAS product over the K steps' columns
+could round differently for each K.  The time loop asks
 for a whole record interval at once.  A condition with zeroth-order terms
 (a value map) reads u = F + G at the vertices, which the step before
 writes, and advances one step per block.
 
 The initial data are real, so the fields are float64 when the vertex map is
-real (``VertexUpdate.dtype``: every scattering block and the value map), and
-complex128 otherwise.
+real (``VertexUpdate.dtype``: U, V^T and the value map), and complex128
+otherwise.
 
 An external edge is the half-line [0, inf) cut at L, exactly for any T: each
 step writes p = 0 at the cut and holds G there, which is the inflow when the
@@ -53,9 +58,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bc import BoundaryMatricesBC, BoundarySpacesBC, to_boundary_matrices
-from .coeffs import EdgeCoefficients, constant
+from .coeffs import EdgeCoefficients
 from .errors import (
     DomainError,
+    NonPositiveCoefficientError,
     SingularUpdateError,
     SpeedSnapExceededError,
     SupportViolationError,
@@ -65,7 +71,8 @@ from .errors import (
 from .graph import MetricGraph
 from .initial import InitialData, edge_lengths, require_finite_positive
 from .timeloop import run
-from .wellposed import VertexUpdate, require_well_posed, vertex_update_matrix
+from .wellposed import (VertexUpdate, _decided_criterion, require_well_posed,
+                        vertex_update_matrix)
 
 
 class WaveEdgeFields:
@@ -217,9 +224,10 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     coefficients, excessive speed snapping, external initial data that do not
     vanish at the cut (``external_lengths`` need only hold them), a
     ``dt_target`` or ``T`` that is not finite and > 0, and a ``snap_tol`` that
-    is not finite and >= 0 (``DomainError``).  Raises
-    SingularUpdateError if the Determinant criterion fails at the snapped
-    speeds; a matrices form whose speeds snap exactly is decided once.
+    is not finite and >= 0 (``DomainError``), and an external edge whose
+    squared snapped speed leaves (1e-8, 1e8) (``NonPositiveCoefficientError``).
+    Raises SingularUpdateError if the Determinant criterion fails at the
+    snapped speeds; a matrices form whose speeds snap exactly is decided once.
     """
     lengths = edge_lengths(g, coeffs, init, external_lengths)
     require_finite_positive("dt_target", dt_target)
@@ -237,9 +245,9 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
     steps = max(1, math.ceil(T / dt_target))
     dt = T / steps
 
-    # snapped (cells, speed) of each edge, in edges() order
-    snaps = [_snap(_constant_speed(profile), L, dt, snap_tol)
-             for L, profile in zip(lengths, coeffs.external + coeffs.internal)]
+    # given and snapped (cells, speed) of each edge, in edges() order
+    given = [_constant_speed(profile) for profile in coeffs.external + coeffs.internal]
+    snaps = [_snap(c, L, dt, snap_tol) for c, L in zip(given, lengths)]
     mu = np.array([mu_t for _, mu_t in snaps])
     size = np.array([n + 1 for n, _ in snaps], dtype=np.int64)
     order = np.argsort(size, kind="stable")  # the rings, packed by size
@@ -262,15 +270,18 @@ def wave_init(g: MetricGraph, coeffs: EdgeCoefficients,
             whole[start[e]:start[e] + size[e]] = part
         grids.append(s)
 
-    squares = [constant(x**2) for x in mu.tolist()]
-    snapped = EdgeCoefficients(tuple(squares[g.l:]), tuple(squares[:g.l]))
-    if criterion is not None and not np.array_equal(snapped.mu_endpoint_diagonals(),
-                                                    coeffs.mu_endpoint_diagonals()):
-        criterion = None  # decided again, at the speeds the run simulates
+    # external squared snapped speeds obey the bound of a default EdgeCoefficients
+    external = mu[:g.l] ** 2
+    eps = EdgeCoefficients.epsilon
+    if np.any(external <= eps) or np.any(external >= 1.0 / eps):
+        raise NonPositiveCoefficientError(
+            f"external profile must satisfy {eps} < lambda < {1.0 / eps}")
     try:
-        update = vertex_update_matrix(bc, snapped, criterion)
+        if criterion is None or not np.array_equal(mu, given):
+            # decided at the speeds the run simulates, (mu_e(0), mu_i(0), mu_i(1))
+            criterion = _decided_criterion(bc, None, np.concatenate((mu, mu[g.l:])))
+        update = vertex_update_matrix(bc, None, criterion)
     except SingularUpdateError as exc:
-        given = [_constant_speed(p) for p in coeffs.external + coeffs.internal]
         moved = ", ".join(f"edge {e}: {c:.6g} -> {mu[e]:.6g}"
                           for e, c in enumerate(given) if c != mu[e])
         raise SingularUpdateError(f"{exc} at the snapped wave speeds ({moved})") from exc

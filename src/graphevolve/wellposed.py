@@ -32,8 +32,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .bc import (BoundaryMatricesBC, BoundarySpacesBC, block_matrix, block_sigmas,
-                 component_labels, invertible, is_real, joint_sigmas, kernel_values,
+from .bc import (BoundaryMatricesBC, BoundarySpacesBC, block_entries, block_matrix,
+                 block_sigmas, component_labels, invertible, is_real, joint_sigmas, kernel_values,
                  sigma_tol)
 from .coeffs import EdgeCoefficients
 from .errors import (
@@ -63,66 +63,62 @@ class VertexUpdate:
     matrix with its rows halved, m_out the same with its flux rows negated,
     and u_rhs the zeroth-order rows.
 
-    S is one d x d block per condition block.  ``stacks`` holds them per size d as
-    (slots, blocks): the trace slots (count, d) and the blocks (count, d, d),
-    in float64 when they are real (``bc.is_real``).  ``order`` lists the slots,
-    stack after stack, and ``inverse`` undoes it.  ``solve`` takes the incoming
-    values into that order once, runs one matmul per stack whose core is one
-    (d x d) @ (d x r) product per step and vertex, and takes the result back
-    once: a real stack multiplies real values (r = 1) or the float64 view of
-    complex ones (r = 2), a complex stack complex values (r = 1).  ``dtype``
-    is float64 when every stack and the value map are real, and then real
-    values stay real; otherwise ``solve`` computes in complex128.  A step
-    makes the same BLAS calls however many steps its block holds, so a block
-    of K steps gives the bytes of K single steps.  ``scattering`` (S) and
-    ``m_out``, the matrix the update inverts, are CSR assembled on first read.
-    ``value_map`` (CSR, float64 when real) is None without zeroth-order terms,
-    and then ``solve`` does not read the value trace.  Nothing here changes
-    after construction, so a deep copy shares it.
+    S is one d x d block per condition block, held exactly as
+    S = sigma * I + factor_u @ factor_vt, where a block with a value rows and
+    b flux rows has sign sigma = +1 and a rank-a term when a <= b, else sign
+    -1 and a rank-b term (``vertex_update_matrix``).  ``sigma`` is one sign
+    per slot; ``factor_u`` (n x R) and ``factor_vt`` (R x n), R the sum of
+    the ranks, are CSR that store all d * r entries of each block, each real
+    when it has no imaginary part (``bc.is_real``).  ``solve`` costs
+    O(sum d * r) per step: 3d for a Kirchhoff vertex (r = 1), a sign for a
+    Dirichlet or Neumann leaf (r = 0).  It multiplies the (n, K) layout of K
+    steps by the two CSR factors; scipy's CSR loops sum every output entry
+    in the same fixed order for any K, so a block of K steps gives the bytes
+    of K single steps.  ``dtype`` is float64 when both factors and the value
+    map are real, and then real values stay real; otherwise ``solve``
+    computes in complex128.  ``scattering`` (S, complex) and ``m_out``, the
+    matrix the update inverts, are CSR assembled from ``criterion`` (the
+    criterion blocks, whose rows below ``k0`` are value rows) on first read.
+    ``value_map`` (CSR, float64 when real) is None without zeroth-order
+    terms, and then ``solve`` does not read the value trace.  Nothing here
+    changes after construction, so a deep copy shares it.
     """
 
-    stacks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    order: np.ndarray
-    inverse: np.ndarray
+    sigma: np.ndarray
+    factor_u: scipy.sparse.csr_array
+    factor_vt: scipy.sparse.csr_array
     value_map: scipy.sparse.csr_array | None
-    m_out_blocks: tuple = field(repr=False)  # (rows, cols, block) of m_out per block group
+    k0: int
+    criterion: tuple = field(repr=False)  # (rows, cols, blocks) per block group
 
     @cached_property
     def scattering(self) -> scipy.sparse.csr_array:
-        return block_matrix([(slots, slots, s.astype(complex)) for slots, s in self.stacks],
-                            (self.order.size,) * 2)
+        return block_matrix([(cols, cols, -np.linalg.solve(_signed(rows, b, self.k0), b)
+                              .astype(complex)) for rows, cols, b in self.criterion],
+                            (self.sigma.size,) * 2)
 
     @cached_property
     def m_out(self) -> scipy.sparse.csr_array:
-        return block_matrix(self.m_out_blocks, (self.order.size,) * 2)
+        return block_matrix([(rows, cols, 0.5 * _signed(rows, b, self.k0))
+                             for rows, cols, b in self.criterion], (self.sigma.size,) * 2)
 
     @cached_property
     def dtype(self) -> np.dtype:
-        """float64 when every stack and the value map are real, else complex128."""
-        dtypes = [s.dtype for _, s in self.stacks]
+        """float64 when both factors and the value map are real, else complex128."""
+        parts = [self.sigma, self.factor_u, self.factor_vt]
         if self.value_map is not None:
-            dtypes.append(self.value_map.dtype)
-        return np.result_type(*dtypes)
+            parts.append(self.value_map)
+        return np.result_type(*(p.dtype for p in parts))
 
     def solve(self, incoming: np.ndarray, value_trace: np.ndarray | None) -> np.ndarray:
         """Outgoing values of one step, or one row per step for a (K, n) block."""
         x = np.atleast_2d(incoming)
-        x = x.astype(np.result_type(x, self.dtype), copy=False).take(self.order, axis=1)
-        out = np.empty_like(x)
-        k, n = x.shape
-        views = {np.dtype(float): (x.view(float).reshape(k, n, -1),
-                                   out.view(float).reshape(k, n, -1)),
-                 np.dtype(complex): (x[:, :, None], out[:, :, None])}
-        start = 0
+        x = np.array(x.T, dtype=np.result_type(x, self.dtype), order="C")  # (n, K)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite values fail below
-            for slots, s in self.stacks:
-                src, dst = views[s.dtype]
-                end = start + slots.size
-                shape = (k, *slots.shape, src.shape[2])  # splitting an axis keeps a view
-                np.matmul(s, src[:, start:end].reshape(shape),
-                          out=dst[:, start:end].reshape(shape))
-                start = end
-            outgoing = out.take(self.inverse, axis=1)
+            out = self.factor_u @ (self.factor_vt @ x)
+            x *= self.sigma[:, None]
+            out += x
+            outgoing = out.T
             if self.value_map is not None:
                 outgoing = outgoing + (self.value_map @ value_trace.T).T
         if not np.isfinite(outgoing).all():
@@ -157,20 +153,22 @@ def _permutation_sign(p: np.ndarray) -> int:
     return -1 if (p.size - cycles) % 2 else 1
 
 
-def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None):
+def _criterion_blocks(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None,
+                      speeds: np.ndarray | None = None):
     """The blocks of the criterion matrix [V; W C], columns (f_e(0), f_i(1), f_i(0)).
 
-    Returns one (rows, cols, blocks) per block group of `bc`: the rows and
-    the ascending columns of each block in the full criterion matrix, and
-    the stacked dense blocks.
+    C holds the endpoint speeds of `coeffs` (all 1 without), or `speeds`, a
+    trace-ordered vector of them, when given.  Returns one (rows, cols,
+    blocks) per block group of `bc`: the rows and the ascending columns of
+    each block in the full criterion matrix, and the stacked dense blocks.
     """
     if bc.k0 + bc.k1 != bc.trace_dim:
         raise DimensionMismatchError(f"k0 + k1 = {bc.k0 + bc.k1} must equal "
                                      f"l + 2m = {bc.trace_dim}")
-    if coeffs is not None:
+    if speeds is None and coeffs is not None:
         coeffs.validate_against(bc.m, bc.l)
         speeds = coeffs.mu_endpoint_diagonals()
-    else:
+    elif speeds is None:
         speeds = np.ones(bc.trace_dim)
     l, m = bc.l, bc.m
     # criterion column of each trace slot: the f_i(1) columns come before f_i(0)
@@ -244,54 +242,89 @@ def check_boundary_spaces(bc: BoundarySpacesBC) -> WellPosednessReport:
     return _sigma_report("DirectSum", joint_sigmas(bc), dim, dims)
 
 
+def _signed(rows: np.ndarray, blocks: np.ndarray, k0: int) -> np.ndarray:
+    """D B: criterion blocks with their flux rows (rows at or past k0) negated."""
+    return np.where(rows < k0, 1.0, -1.0)[:, :, None] * blocks
+
+
+def _minus_two_inverse(signed: np.ndarray, rows: slice) -> np.ndarray:
+    """-2 (D B)^-1 E: the columns of -2 (D B)^-1 for the block rows `rows`."""
+    return np.linalg.solve(signed, -2.0 * np.eye(signed.shape[1])[:, rows])
+
+
+def _decided_criterion(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None,
+                       speeds: np.ndarray | None = None):
+    """The criterion blocks of `bc` (at `speeds` when given), or SingularUpdateError
+    when they fail the Determinant criterion."""
+    criterion = _criterion_blocks(bc, coeffs, speeds)
+    report = _determinant_report(bc, criterion)
+    if not report.well_posed:
+        raise SingularUpdateError(
+            f"vertex update matrix is singular (sigma_min = {report.sigma_min:.3e})")
+    return criterion
+
+
 def vertex_update_matrix(bc: BoundaryMatricesBC, coeffs: EdgeCoefficients | None = None,
                          criterion=None) -> VertexUpdate:
-    """The vertex scattering matrix of the wave step, built once per run.
+    """The vertex scattering map of the wave step, built once per run.
 
     Decides the Determinant criterion on the criterion blocks and builds
     the update from the same blocks.  `criterion`, the blocks that
     ``require_well_posed`` found well-posed for `bc` at the same speeds, is
-    taken as decided instead.  A criterion block B whose rows are
-    signed by D (+1 on value rows, -1 on flux rows) scatters by
-    S_b = -(D B)^-1 B, and the blocks of one shape are solved in one stacked
-    ``np.linalg.solve``.  The S blocks are kept stacked by size d, real when
-    their imaginary parts are all zero (``bc.is_real``), for
-    ``VertexUpdate.solve``; no sparse matrix is assembled for S or m_out until
-    one is read.  Zeroth-order rows add the value map -m_out^-1 @ u_rhs,
-    whose blocks are -2 (D B)^-1, real by the same rule; it is built only
-    when the U rows have nonzeros.  Raises SingularUpdateError exactly when the
-    criterion fails: det(m_out) = (1/2)^(l+2m) * (-1)^k1 * det(criterion matrix).
+    taken as decided instead.  A criterion block B whose rows are signed by
+    D (+1 on its a value rows, -1 on its b flux rows) scatters by
+    S_b = -(D B)^-1 B.  As B = D B + 2 P_W B = -D B + 2 P_V B, with P_V and
+    P_W the projections on the value and the flux rows, S_b is exactly
+    sigma I + U V^T of rank r = min(a, b): for a <= b, sigma = +1,
+    U = -2 (D B)^-1 E_V and V^T the value rows of B; otherwise sigma = -1,
+    U = -2 (D B)^-1 E_W and V^T the flux rows, E_V and E_W the identity
+    columns of those rows.  The blocks of one shape solve for U in one
+    stacked ``np.linalg.solve``; no dense S is formed, and no sparse matrix
+    is assembled for S or m_out until one is read.  Zeroth-order rows add
+    the value map -m_out^-1 @ u_rhs; u_rhs has only flux rows, so its blocks
+    are -2 (D B)^-1 E_W, the U of a block with a > b.  U, V^T and the value
+    map are each real when they have no imaginary part (``bc.is_real``);
+    the value map is built only when the U rows have nonzeros.  Raises
+    SingularUpdateError exactly when the criterion fails:
+    det(m_out) = (1/2)^(l+2m) * (-1)^k1 * det(criterion matrix).
     """
     if criterion is None:
-        criterion = _criterion_blocks(bc, coeffs)
-        report = _determinant_report(bc, criterion)
-        if not report.well_posed:
-            raise SingularUpdateError(
-                f"vertex update matrix is singular (sigma_min = {report.sigma_min:.3e})")
+        criterion = _decided_criterion(bc, coeffs)
     dim, k0, u = bc.trace_dim, bc.k0, bc.sparse_U
-    m_out, by_size, minus_inverse = [], {}, []
+    sigma = np.empty(dim)
+    u_parts, vt_parts, flux_parts = [], [], []
+    rank = 0
     for rows, cols, blocks in criterion:
-        signed = np.where(rows < k0, 1.0, -1.0)[:, :, None] * blocks  # D B
-        m_out.append((rows, cols, 0.5 * signed))
+        signed = _signed(rows, blocks, k0)
+        count, d = cols.shape
+        a = int(np.count_nonzero(rows[0] < k0))  # value rows come first in a block
+        value, flux = slice(0, a), slice(a, d)
+        side = value if a <= d - a else flux
+        sigma[cols] = 1.0 if side is value else -1.0
         try:
-            by_size.setdefault(cols.shape[1], []).append((cols, -np.linalg.solve(signed, blocks)))
-            if u.nnz:
-                minus_inverse.append((cols, rows, -2.0 * np.linalg.inv(signed)))
+            factor = _minus_two_inverse(signed, side)
+            if u.nnz:  # the value map reads the flux columns
+                flux_parts.append((cols, rows[:, flux],
+                                   factor if side is flux else _minus_two_inverse(signed, flux)))
         except np.linalg.LinAlgError as exc:  # an exactly singular block
             raise SingularUpdateError(f"vertex update matrix is singular ({exc})") from exc
+        numbers = np.arange(rank, rank + factor.shape[2] * count).reshape(count, -1)
+        u_parts.append((cols, numbers, factor))
+        vt_parts.append((numbers, cols, blocks[:, side]))
+        rank += numbers.size
+    factors = []
+    for parts, shape in ((u_parts, (dim, rank)), (vt_parts, (rank, dim))):
+        data, index = block_entries(parts)
+        factors.append(scipy.sparse.csr_array((data.real if is_real(data) else data, index),
+                                              shape=shape))
     value_map = None
     if u.nnz:
         u = u.tocoo()
         u_rhs = scipy.sparse.csr_array((u.data, (k0 + u.row, u.col)), shape=(dim, dim))
-        value_map = block_matrix(minus_inverse, (dim, dim)) @ u_rhs
+        value_map = block_matrix(flux_parts, (dim, dim)) @ u_rhs
         if is_real(value_map):
             value_map = value_map.real
-    stacks = []
-    for size in sorted(by_size):
-        cols, blocks = (np.concatenate(x) for x in zip(*by_size[size]))
-        stacks.append((cols, np.ascontiguousarray(blocks.real if is_real(blocks) else blocks)))
-    order = np.concatenate([cols.ravel() for cols, _ in stacks])
-    return VertexUpdate(tuple(stacks), order, np.argsort(order), value_map, tuple(m_out))
+    return VertexUpdate(sigma, *factors, value_map, k0, tuple(criterion))
 
 
 def _abs_l1_restricted(samples: np.ndarray, t0: float, reflected: bool) -> float:

@@ -529,10 +529,12 @@ def test_refused_yaml_names_its_line(tmp_path, capsys, old, new, offending):
 
 
 def test_deep_nesting_is_a_validation_error(tmp_path, capsys):
-    """A graph section nested 20,000 deep is refused by the schema, not by
-    Python's recursion limit."""
+    """A graph section nested five times deeper than Python's recursion limit
+    is refused by the schema, not by the limit."""
+    depth = 5 * sys.getrecursionlimit()
+    assert depth > sys.getrecursionlimit()
     cfg = tmp_path / "deep.cfg"
-    cfg.write_text("graph: " + "[" * 20000 + "]" * 20000 + "\nbc:\n  kind: standard\n")
+    cfg.write_text("graph: " + "[" * depth + "]" * depth + "\nbc:\n  kind: standard\n")
     assert run_cli("check", cfg, "--output-dir", tmp_path, "--quiet") == 1
     assert capsys.readouterr().err == "error: graph: expected a map\n"
     assert [p.name for p in tmp_path.iterdir()] == ["deep.cfg"]

@@ -380,8 +380,8 @@ def unitary_blocks(bc, rng):
 
 @pytest.mark.parametrize("case", ["real", "complex", "dense-real", "dense-complex", "delta"])
 def test_solve_matches_the_csr_product(case):
-    """The per-shape product equals the CSR product of the same blocks, for real
-    and complex stacks, the large block of a global-basis Y0, and a δ-coupling's
+    """The low-rank product equals the CSR product of the same blocks, for real
+    and complex factors, the large block of a global-basis Y0, and a δ-coupling's
     value map, on one step and on a block of steps; a non-finite value raises
     ValueError."""
     rng = np.random.default_rng(23)
@@ -395,9 +395,11 @@ def test_solve_matches_the_csr_product(case):
     matrices = ge.to_boundary_matrices(spaces, g.l, g.m)
     update = ge.vertex_update_matrix(matrices, coeffs)
     dim = g.trace_dim
-    # a degree-1 vertex scatters by a real +-1 even when its block is complex
-    assert (np.dtype(complex) in {s.dtype for _, s in update.stacks}) == ("complex" in case)
-    assert (max(s.shape[1] for _, s in update.stacks) > vertex) == ("dense" in case)
+    # a degree-1 vertex scatters by a real +-1 sign even when its block is complex
+    factors = (update.factor_u, update.factor_vt)
+    assert (np.dtype(complex) in {f.dtype for f in factors}) == ("complex" in case)
+    widest = np.diff(update.factor_vt.indptr).max()  # a row of V^T spans its block
+    assert (widest > vertex) == ("dense" in case)
     assert (update.value_map is not None) == (case == "delta")
     oracle, _ = criterion_matrices(matrices, coeffs)
     for shape in ((dim,), (1, dim), (7, dim)):
@@ -447,3 +449,56 @@ def test_wave_init_assembles_no_sparse_update(monkeypatch):
     assert np.array_equal(st.update.m_out.toarray(), m_out.toarray())
     assert st.update.scattering.dtype == scattering.dtype
     assert len(calls) == 2
+
+
+def one_dense_block(rng, a, b):
+    """A matrices condition whose a value rows and b flux rows are random and
+    dense: one block of a + b slots, l = a + b - 2 external edges and m = 1."""
+    dim = a + b
+    return ge.BoundaryMatricesBC(rng.normal(size=(a, dim)), rng.normal(size=(b, dim)),
+                                 np.zeros((b, dim)), 1)
+
+
+@pytest.mark.parametrize("case", [*BUILDERS, "complex", "dense", "a < b", "a > b"])
+def test_low_rank_factors_are_the_scattering_blocks(case):
+    """sigma I + U V^T equals S to rounding, and U and V^T each store the d r
+    entries of every block, r = min(a, b) of its a value and b flux rows."""
+    rng = np.random.default_rng(41)
+    coeffs = None
+    if case in ("a < b", "a > b"):
+        matrices = one_dense_block(rng, *((2, 5) if case == "a < b" else (5, 2)))
+    else:
+        g, coeffs = random_mesh(rng, 12, 20, 3)
+        spaces = local_condition(rng, g, coeffs, case if case in BUILDERS else "standard")
+        if case == "complex":
+            spaces = unitary_blocks(spaces, rng)
+        elif case == "dense":
+            spaces = reference_spaces(spaces)
+        matrices = ge.to_boundary_matrices(spaces, g.l, g.m)
+    update = ge.vertex_update_matrix(matrices, coeffs)
+    s = update.scattering.toarray()
+    low_rank = np.diag(update.sigma) + (update.factor_u @ update.factor_vt).toarray()
+    assert relative_gap(low_rank, s) <= 1e-14
+    entries = 0
+    for rows, cols, _ in ge.wellposed._criterion_blocks(matrices, coeffs):
+        a = np.count_nonzero(rows < matrices.k0, axis=1)
+        entries += np.sum(cols.shape[1] * np.minimum(a, cols.shape[1] - a))
+    assert update.factor_u.nnz == update.factor_vt.nnz == entries
+    assert entries < matrices.trace_dim ** 2 / 2
+
+
+def test_a_kirchhoff_hub_stores_one_rank_one_term():
+    """The 64-edge hub with one external edge: its 65 x 65 Kirchhoff block is
+    (2/65) J - I, -I plus a rank-one term (65 entries in each factor), and the
+    Neumann leaves (r = 0) scatter by the sign +1 alone."""
+    g = ge.MetricGraph(65, [(0, j) for j in range(1, 65)], [0])
+    bc = ge.from_standard(g, ge.unit_coefficients(64, 1))
+    update = ge.vertex_update_matrix(ge.to_boundary_matrices(bc, g.l, g.m))
+    assert update.factor_u.shape == (g.trace_dim, 1) and update.factor_vt.shape == (1, 129)
+    assert update.factor_u.nnz == update.factor_vt.nnz == 65
+    hub = np.diff(update.factor_u.indptr) > 0
+    assert hub.sum() == 65
+    assert np.array_equal(update.sigma, np.where(hub, -1.0, 1.0))
+    low_rank = np.diag(update.sigma) + (update.factor_u @ update.factor_vt).toarray()
+    assert np.abs(low_rank[np.ix_(hub, hub)] - (2 / 65 - np.eye(65))).max() <= 1e-15
+    assert np.array_equal(low_rank[~hub][:, ~hub], np.eye(64))
