@@ -227,7 +227,8 @@ class _Blocks:
     @classmethod
     def from_blocks(cls, groups, sparse_u, **fields):
         """A condition from its blocks, which need not be vertex blocks, with no dense
-        field formed; `fields` sets the rest.  It is never marked ``kirchhoff``."""
+        field formed; `fields` sets the rest.  Heat and wave read it exactly as
+        they read a builder's condition with the same blocks."""
         bc = object.__new__(cls)
         _set(bc, groups=tuple(groups), sparse_U=sparse_u, **fields)
         bc._validate()
@@ -404,12 +405,12 @@ class BoundarySpacesBC(_Blocks):
     between flux and raw-derivative conventions.
     Y1 and Y0 are stored as blocks of full column rank: the connected
     components of the nonzero pattern for dense input, one per vertex from
-    the continuity builders, a constant Y1 column and Y0 = C * Y1-perp.  Only
-    those builders set ``kirchhoff``, the mark that sends heat down its
-    finite-volume path; any other condition, even one with the same blocks,
-    has ``kirchhoff`` False.  ``dataclasses.replace`` reads the dense fields
-    and splits them again: a builder's twin has the builder's vertex blocks,
-    ordered by least slot, and no mark.
+    the continuity builders, a constant Y1 column and Y0 = C * Y1-perp.
+    ``dataclasses.replace`` reads the dense fields and splits them again: a
+    builder's twin has the builder's vertex blocks, ordered by least slot.
+    Heat and wave convert every local condition to the matrices form
+    (``to_boundary_matrices``), so a condition is simulated by what it says,
+    whoever built it.
     """
 
     y1_basis: np.ndarray = _Derived()
@@ -417,7 +418,6 @@ class BoundarySpacesBC(_Blocks):
     local_U: np.ndarray | None = _Derived(None)
     nonlocal_kernels: tuple | None = None
     mu_endpoints: np.ndarray | None = None
-    kirchhoff = False  # not a field, so no constructor or replace can set it
 
     def __post_init__(self):
         y1, y0 = (np.atleast_2d(np.asarray(x, dtype=complex))
@@ -482,7 +482,12 @@ def from_standard(g: MetricGraph, coeffs: EdgeCoefficients) -> BoundarySpacesBC:
 
 def _kirchhoff(g: MetricGraph, coeffs: EdgeCoefficients, coupling) -> BoundarySpacesBC:
     """``from_standard`` with local_U = -C X, for `coupling` X a trace-ordered
-    COO matrix of nonzeros (None: no zeroth-order term), marked ``kirchhoff``."""
+    COO matrix of nonzeros (None: no zeroth-order term).
+
+    Converted (``to_boundary_matrices``), vertex v's flux row is W = c * lambda
+    on its slots and U = c * sum_j mu_j local_U_j, for one scalar c: heat
+    weights W by 1 / lambda(node), so the row is c times v's summed half-cell
+    Kirchhoff balance plus its zeroth-order terms."""
     coeffs.validate_against(g.m, g.l)
     speeds = coeffs.mu_endpoint_diagonals()
     ends = endpoint_vertices(g)
@@ -496,9 +501,7 @@ def _kirchhoff(g: MetricGraph, coeffs: EdgeCoefficients, coupling) -> BoundarySp
                                  _hermitian_complement(ones[:1]) / speeds[slots][:, :, None]))
     local_u = None if coupling is None else scipy.sparse.csr_array(
         (-coupling.data / speeds[coupling.row], coupling.coords), shape=coupling.shape)
-    bc = BoundarySpacesBC.from_blocks(groups, local_u, mu_endpoints=speeds)
-    _set(bc, kirchhoff=True)
-    return bc
+    return BoundarySpacesBC.from_blocks(groups, local_u, mu_endpoints=speeds)
 
 
 def from_delta(g: MetricGraph, coeffs: EdgeCoefficients,

@@ -48,6 +48,7 @@ _VALUE = {
     "float": lambda text: float(text.replace(".", "") if text[-1] in "fFnN" else text),
 }
 _COLLECTIONS = {yaml.MappingStartEvent: (dict, "map"), yaml.SequenceStartEvent: (list, "seq")}
+_MAX_DEPTH = 64  # open collections; the schema's deepest form nests six
 _OPEN = object()  # the anchor of a collection that is still being built
 _NO_KEY = object()  # an open map's key slot between entries
 
@@ -89,7 +90,9 @@ def _build(next_event):
     """The one document of an event stream, as dicts, lists and scalars.
 
     One explicit stack holds the open collections, so no nesting depth can
-    exhaust Python's recursion limit."""
+    exhaust Python's recursion limit; a collection opened inside _MAX_DEPTH
+    others is refused at its mark, before libyaml reads the rest, whose cost
+    grows with the square of the depth."""
     stack = []  # open collections: [container, anchor, start mark, key slot]
     anchors = {}
     document = root = None
@@ -110,6 +113,9 @@ def _build(next_event):
             make, node = _COLLECTIONS[kind]
             if event.tag not in (None, _CORE + node):
                 raise _refusal(f"found the tag {event.tag!r}, not a core tag of a {node}",
+                               event.start_mark)
+            if len(stack) == _MAX_DEPTH:
+                raise _refusal(f"found a collection nested deeper than {_MAX_DEPTH} levels",
                                event.start_mark)
             stack.append([make(), event.anchor, event.start_mark, _NO_KEY])
             if event.anchor is not None:

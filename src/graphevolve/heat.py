@@ -3,16 +3,12 @@
 Interior nodes use the second-order central difference of lambda(s) u_ss.
 Boundary conditions enter as rows of the implicit system:
 
-* matrices form -- value rows on trace nodes, derivative rows via
-  second-order one-sided stencils, U-terms on trace nodes, all read from the
-  nonzeros of the blocks and of the sparse U rows;
-* spaces form marked ``kirchhoff`` by the standard, delta and
-  nonlocal-matrices builders, whose every vertex block (``bc.groups``) is
-  continuity plus Kirchhoff flux balance -- continuity rows plus one
-  conservative half-cell balance row per vertex, which conserve discrete mass
-  exactly for edgewise-constant lambda under pure Kirchhoff coupling; any
-  other spaces form, hand-built Kirchhoff blocks included, is converted to
-  the matrices form;
+* every local condition, in the matrices form (a spaces form is converted
+  with ``to_boundary_matrices``) -- algebraic value rows, and flux rows in
+  which each W entry takes the half-cell balance at its slot, over lambda at
+  the trace node, theta-weighted like the U terms (``_assemble_matrix_rows``).
+  A vertex of continuity plus Kirchhoff balance thus gets its summed balance,
+  which conserves discrete mass exactly for edgewise-constant lambda;
 * nonlocal interval kernels -- quadrature rows tying each endpoint value to a
   weighted integral of the whole profile;
 * external edges -- truncated with a homogeneous far-end row.
@@ -99,7 +95,7 @@ class HeatState:
     factor: SparseFactor  # LU of the implicit matrix a
     explicit: scipy.sparse.csr_array  # b
     cond_estimate: float  # 1-norm condition estimate of a
-    path: str  # boundary rows used: "continuity", "matrices" or "nonlocal"
+    path: str  # boundary rows used: "matrices" or "nonlocal"
     step_count: int = 0
 
     def edges(self) -> list[HeatEdgeFields]:
@@ -193,18 +189,14 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
     require_finite_positive("dt", dt)
 
     require_well_posed(bc, coeffs)
-    if isinstance(bc, BoundaryMatricesBC):
-        mode = "matrices"
-    elif bc.nonlocal_kernels is not None:
+    mode = "matrices"
+    if isinstance(bc, BoundarySpacesBC) and bc.nonlocal_kernels is not None:
         mode = "nonlocal"
         if g.m != 1 or g.l != 0:
             raise DimensionMismatchError(
                 "nonlocal interval kernels require a single internal edge"
             )
-    elif bc.kirchhoff:
-        mode = "continuity"
-    else:
-        mode = "matrices"
+    elif isinstance(bc, BoundarySpacesBC):
         bc = to_boundary_matrices(bc, g.l, g.m)
 
     # grids, lambda and initial values in edges() order (external, then internal)
@@ -248,11 +240,8 @@ def heat_init(g: MetricGraph, coeffs: EdgeCoefficients, bc, init: InitialData,
 
     if mode == "nonlocal":
         row = _assemble_nonlocal_rows(a, row, grids[g.l], offsets[g.l], bc.nonlocal_kernels)
-    elif mode == "continuity":
-        lam_half = 0.5 * (lam[node] + lam[node + inward])
-        row = _assemble_vertex_rows(a, b, row, bc, node, inward, h, lam_half, dt, theta)
     else:
-        row = _assemble_matrix_rows(a, row, bc, node, inward, h)
+        row = _assemble_matrix_rows(a, b, row, bc, node, inward, h, lam, dt, theta)
 
     if row != total:
         raise AssertionError(f"assembled {row} rows for {total} unknowns")
@@ -279,58 +268,29 @@ def _assemble_nonlocal_rows(a, row, s, off, kernels):
     return row
 
 
-def _assemble_vertex_rows(a, b, row, bc: BoundarySpacesBC, node, inward, h, lam_half,
-                          dt, theta):
-    """Continuity rows plus one conservative half-cell flux balance row per vertex.
+def _assemble_matrix_rows(a, b, row, bc: BoundaryMatricesBC, node, inward, h, lam, dt,
+                          theta):
+    """Algebraic value rows and theta-weighted half-cell flux rows of the matrices form.
 
-    The vertices are the blocks of `bc`.  Each slot of a block but the first
-    gets a row equating its value with the first slot's; then each block gets
-    one balance row over the half cells at its slots.
-    """
-    sizes = np.concatenate([np.full(g.slots.shape[0], g.slots.shape[1]) for g in bc.groups])
-    order = np.concatenate([g.slots.ravel() for g in bc.groups])  # block after block
-    first = np.cumsum(sizes) - sizes  # where each block starts in `order`
-    rest = np.delete(order, first)
-    rows = row + np.arange(rest.size)
-    a.add(rows, node[rest], 1.0)
-    a.add(rows, node[np.repeat(order[first], sizes - 1)], -1.0)
-    row += rest.size
-
-    block = np.repeat(np.arange(sizes.size), sizes)
-    rows = row + block
-    tr, adj = node[order], node[order] + inward[order]
-    cap = 0.5 * h[order] / dt
-    flux = lam_half[order] / h[order]
-    a.add(rows, tr, cap + theta * flux)
-    a.add(rows, adj, -theta * flux)
-    b.add(rows, tr, cap - (1.0 - theta) * flux)
-    b.add(rows, adj, (1.0 - theta) * flux)
-    if bc.sparse_U is not None:
-        # zeroth-order source: the flux sum at a vertex equals src @ trace values,
-        # src the mu-weighted sum of the vertex's local_U rows
-        src = scipy.sparse.csr_array((bc.mu_endpoints[order], (block, order)),
-                                     shape=(sizes.size, bc.trace_dim)) @ bc.sparse_U
-        src.sort_indices()
-        src = src.tocoo()
-        a.add(row + src.row, node[src.col], -theta * src.data)
-        b.add(row + src.row, node[src.col], (1.0 - theta) * src.data)
-    return row + sizes.size
-
-
-def _assemble_matrix_rows(a, row, bc: BoundaryMatricesBC, node, inward, h):
-    """Value rows and one-sided-stencil derivative rows of the matrices form.
-
-    W multiplies outward derivatives, so each slot's second-order stencil runs
-    inward from its trace node: up the edge at f(0) slots, down it at f_i(1).
+    W_rj multiplies the outward raw derivative at slot j, which is the half-cell
+    balance lambda_{1/2} (u_adj - u_tr) / h - (h / 2) u_t(tr) over lambda at the
+    trace node; the adjacent node lies one step into the edge: up it at f(0)
+    slots, down it at f_i(1).  The U terms are theta-weighted like the fluxes.
     """
     v, w, u = (x.tocoo() for x in trace_rows(bc))  # row by row, slots ascending
     a.add(row + v.row, node[v.col], v.data)
     row += bc.k0
 
-    weights = np.array([-1.5, 2.0, -0.5])
-    a.add((row + w.row)[:, None], node[w.col, None] + inward[w.col, None] * np.arange(3),
-          w.data[:, None] * (weights / h[w.col, None]))
-    a.add(row + u.row, node[u.col], u.data)
+    rows, tr, adj = row + w.row, node[w.col], node[w.col] + inward[w.col]
+    weight = w.data / lam[tr]
+    cap = 0.5 * h[w.col] / dt
+    flux = 0.5 * (lam[tr] + lam[adj]) / h[w.col]
+    a.add(rows, tr, weight * (cap + theta * flux))
+    a.add(rows, adj, -weight * theta * flux)
+    b.add(rows, tr, weight * (cap - (1.0 - theta) * flux))
+    b.add(rows, adj, weight * (1.0 - theta) * flux)
+    a.add(row + u.row, node[u.col], -theta * u.data)
+    b.add(row + u.row, node[u.col], (1.0 - theta) * u.data)
     return row + bc.k1
 
 

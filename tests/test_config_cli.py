@@ -528,15 +528,22 @@ def test_refused_yaml_names_its_line(tmp_path, capsys, old, new, offending):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
-def test_deep_nesting_is_a_validation_error(tmp_path, capsys):
+def test_deep_nesting_is_refused_at_its_mark(tmp_path, capsys):
     """A graph section nested five times deeper than Python's recursion limit
-    is refused by the schema, not by the limit."""
+    is refused at the first collection inside 64 others (the root map and 63
+    brackets, so the 64th bracket), not by the limit."""
     depth = 5 * sys.getrecursionlimit()
     assert depth > sys.getrecursionlimit()
     cfg = tmp_path / "deep.cfg"
     cfg.write_text("graph: " + "[" * depth + "]" * depth + "\nbc:\n  kind: standard\n")
     assert run_cli("check", cfg, "--output-dir", tmp_path, "--quiet") == 1
-    assert capsys.readouterr().err == "error: graph: expected a map\n"
+    column = len("graph: ") + 64
+    assert capsys.readouterr().err == (
+        "error: line 1: found a collection nested deeper than 64 levels "
+        f'in "{cfg}", line 1, column {column}\n')
+    cfg.write_text("graph: " + "[" * 63 + "]" * 63 + "\nbc:\n  kind: standard\n")
+    assert run_cli("check", cfg, "--output-dir", tmp_path, "--quiet") == 1
+    assert capsys.readouterr().err == "error: graph: expected a map\n"  # 64 deep: read
     assert [p.name for p in tmp_path.iterdir()] == ["deep.cfg"]
 
 

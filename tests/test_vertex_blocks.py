@@ -310,15 +310,6 @@ def test_dense_input_splits_by_its_pattern():
             scipy.sparse.csr_array((1, 3)), m=1)
 
 
-def test_heat_dispatches_on_the_partition(compact_star):
-    coeffs = ge.EdgeCoefficients(tuple(ge.constant(c) for c in (1.0, 2.0, 0.5)), ())
-    init = ge.InitialData(tuple(ge.EdgeInitial(ge.gaussian(0.5, 0.1)) for _ in range(3)), ())
-    tagged = ge.from_standard(compact_star, coeffs)
-    paths = [ge.heat_init(compact_star, coeffs, bc, init, dt=1e-3, n_per_edge=20).path
-             for bc in (tagged, dataclasses.replace(tagged))]  # the same blocks, no mark
-    assert paths == ["continuity", "matrices"]
-
-
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_scattering_matrix_is_an_involution(builder):
     """S = -(D C)^-1 C = -C^-1 D C squares to the identity, and zeroth-order rows
